@@ -16,27 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import increl
-from increl.engine import (
-    EngineState,
-    StageResult,
-    TraceRow,
-    full_enumeration_counts,
-    initial_stage,
-    run_expansion,
-)
-from increl.model import (
-    ArcSpec,
-    CapExceededError,
-    Expansion,
-    ExpansionError,
-    Network,
-    ParseError,
-)
+from increl.engine import StageResult, TraceRow, full_enumeration_counts, run
+from increl.model import CapExceededError, ExpansionError, ParseError
 from increl.netfile import parse_expansion_specs, parse_network
 from increl.oracle import brute_force_reliability
 
@@ -156,47 +141,11 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _execute_stages(
-    net: Network,
-    stage_specs: Sequence[tuple[ArcSpec, ...]],
-    workers: int,
-    trace=None,
-) -> tuple[list[StageResult], list[float]]:
-    results: list[StageResult] = []
-    elapsed: list[float] = []
-
-    start = time.perf_counter()
-    state: EngineState = initial_stage(net, trace=trace)
-    elapsed.append(time.perf_counter() - start)
-    results.append(
-        StageResult(
-            stage_index=0,
-            arc_count=net.arc_count,
-            reliability=state.reliability,
-            infeasible_count=len(state.infeasible),
-            vectors_generated=1 << net.arc_count,
-        )
-    )
-    for k, specs in enumerate(stage_specs):
-        expansion = Expansion.for_network(state.network, specs)
-        start = time.perf_counter()
-        state, result = run_expansion(
-            state,
-            expansion,
-            final=(k == len(stage_specs) - 1),
-            workers=workers,
-            trace=trace,
-        )
-        elapsed.append(time.perf_counter() - start)
-        results.append(result)
-    return results, elapsed
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network))
-    results, elapsed = _execute_stages(net, [], workers=1)
+    results = run(net, [])
     naive = full_enumeration_counts(net, [])
-    sys.stdout.write(build_run_report(results, naive, elapsed))
+    sys.stdout.write(build_run_report(results, naive, [r.elapsed_s for r in results]))
     return 0
 
 
@@ -205,13 +154,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     stage_specs = [parse_expansion_specs(_read(path)) for path in args.expansions]
     naive = full_enumeration_counts(net, stage_specs)
     trace = TraceDirectory(Path(args.trace)) if args.trace else None
-    # Tracing is inherently ordered, so it forces the sequential path.
-    workers = 1 if trace is not None else args.parallel
     try:
-        results, elapsed = _execute_stages(net, stage_specs, workers, trace)
+        results = run(net, stage_specs, workers=args.parallel, trace=trace)
     finally:
         if trace is not None:
             trace.close()
+    elapsed = [r.elapsed_s for r in results]
     sys.stdout.write(
         build_run_report(results, naive, elapsed, fmt=args.format, show_naive=args.naive)
     )
@@ -251,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("human", "csv", "json"), default="human", help="output format"
     )
     p_run.add_argument(
-        "--parallel", type=int, default=1, metavar="K", help="worker processes"
+        "--parallel", type=int, default=1, metavar="K", help="worker processes (at least 1)"
     )
     p_run.set_defaults(func=cmd_run)
 

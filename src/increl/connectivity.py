@@ -49,12 +49,6 @@ class NodePartition:
     sink_side: frozenset[int]
     middle: tuple[frozenset[int], ...]
 
-    def all_nodes(self) -> frozenset[int]:
-        """The node universe this partition covers."""
-        return self.source_side | self.sink_side | frozenset(
-            v for comp in self.middle for v in comp
-        )
-
     def middle_union(self) -> frozenset[int]:
         """All middle nodes as one flat set, the display granularity."""
         return frozenset(v for comp in self.middle for v in comp)

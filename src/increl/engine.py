@@ -16,6 +16,7 @@ order, so identical inputs produce bit-identical results.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -81,13 +82,14 @@ class EngineState:
 
 @dataclass(frozen=True)
 class StageResult:
-    """Per-stage report row: reliability plus work counters."""
+    """Per-stage report row: reliability, work counters and wall time."""
 
     stage_index: int
     arc_count: int
     reliability: float
     infeasible_count: int
     vectors_generated: int
+    elapsed_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,12 @@ def run_expansion(
     With `workers` > 1 the retained set is split into contiguous
     chunks processed in parallel; partial sums merge in chunk order,
     so the result is deterministic for a fixed worker count but may
-    differ from the sequential sum in the last bits.
+    differ from the sequential sum in the last bits. Tracing always
+    runs sequentially.
     """
+    start = time.perf_counter()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if state.finalized:
         raise ExpansionError("the final stage has already run")
     width = expansion.arc_count
@@ -205,37 +211,13 @@ def run_expansion(
     new_net = extend_network(state.network, expansion)
     stage = state.stage_index + 1
 
+    args = (expansion, new_net, final, max_retained)
     if workers > 1 and trace is None and len(state.infeasible) >= workers:
-        total, comp, retained, generated = _run_parallel(
-            state, expansion, new_net, width, final, workers
-        )
+        total, comp, retained, generated = _run_parallel(state, workers, *args)
     else:
-        total, comp = state.reliability_sum, state.reliability_comp
-        retained = []
-        generated = 0
-        for item in state.infeasible:
-            for combo in _combinations(width, final):
-                generated += 1
-                extended = item.bits + combo
-                if trace is not None:
-                    connected, part = extend_partition_detail(
-                        item.partition, combo, expansion
-                    )
-                    trace(TraceRow(stage, item.index, generated, extended, part, connected))
-                else:
-                    maybe = extend_partition(item.partition, combo, expansion)
-                    connected, part = maybe is None, maybe
-                if connected:
-                    total, comp = _neumaier_add(
-                        total, comp, vector_probability(extended, new_net)
-                    )
-                elif not final:
-                    assert part is not None
-                    retained.append(Retained(extended, part, generated))
-                    if len(retained) > max_retained:
-                        raise CapExceededError(
-                            f"retained set exceeds cap of {max_retained} vectors"
-                        )
+        total, comp, retained, generated = _extend_retained(
+            state.infeasible, *args, state.reliability_sum, state.reliability_comp, 0, stage, trace
+        )
 
     if len(retained) > max_retained:
         raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
@@ -253,71 +235,82 @@ def run_expansion(
         reliability=new_state.reliability,
         infeasible_count=len(retained),
         vectors_generated=generated,
+        elapsed_s=time.perf_counter() - start,
     )
     return new_state, result
 
 
-def _extend_chunk(
-    chunk: tuple[Retained, ...],
+def _extend_retained(
+    items: Sequence[Retained],
     expansion: Expansion,
     new_net: Network,
-    width: int,
     final: bool,
+    max_retained: int,
+    total: float,
+    comp: float,
     base_index: int,
+    stage: int = 0,
+    trace: TraceFn | None = None,
 ) -> tuple[float, float, list[Retained], int]:
-    """Worker body for the parallel mode; pure over its arguments."""
-    total = 0.0
-    comp = 0.0
+    """The extension loop, shared by the sequential and parallel paths.
+
+    Folds feasible extensions of `items` into the running sum
+    (`total`, `comp`) and returns it with the infeasible extensions and
+    the number of vectors generated. Generation indices continue from
+    `base_index`. The connectivity and probability calls go through
+    this module's globals so instrumentation can rebind them.
+    """
+    width = expansion.arc_count
     retained: list[Retained] = []
     generated = base_index
-    for item in chunk:
+    for item in items:
         for combo in _combinations(width, final):
             generated += 1
             extended = item.bits + combo
-            part = extend_partition(item.partition, combo, expansion)
-            if part is None:
-                total, comp = _neumaier_add(
-                    total, comp, vector_probability(extended, new_net)
-                )
+            if trace is not None:
+                connected, part = extend_partition_detail(item.partition, combo, expansion)
+                trace(TraceRow(stage, item.index, generated, extended, part, connected))
+            else:
+                part = extend_partition(item.partition, combo, expansion)
+                connected = part is None
+            if connected:
+                total, comp = _neumaier_add(total, comp, vector_probability(extended, new_net))
             elif not final:
                 retained.append(Retained(extended, part, generated))
+                if len(retained) > max_retained:
+                    raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
     return total, comp, retained, generated - base_index
 
 
 def _run_parallel(
     state: EngineState,
+    workers: int,
     expansion: Expansion,
     new_net: Network,
-    width: int,
     final: bool,
-    workers: int,
+    max_retained: int,
 ) -> tuple[float, float, list[Retained], int]:
+    """`_extend_retained` over contiguous chunks in worker processes, merged in chunk order."""
     from concurrent.futures import ProcessPoolExecutor
 
     items = state.infeasible
-    per_item = (1 << width) - (1 if final else 0)
+    args = (expansion, new_net, final, max_retained)
+    per_item = (1 << expansion.arc_count) - (1 if final else 0)
     step = -(-len(items) // workers)
-    chunks = [items[k : k + step] for k in range(0, len(items), step)]
-    bases = [k * per_item for k in range(0, len(items), step)]
+    starts = range(0, len(items), step)
     total, comp = state.reliability_sum, state.reliability_comp
     retained: list[Retained] = []
-    generated = 0
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = pool.map(
-            _extend_chunk,
-            chunks,
-            [expansion] * len(chunks),
-            [new_net] * len(chunks),
-            [width] * len(chunks),
-            [final] * len(chunks),
-            bases,
-        )
-        for part_total, part_comp, part_retained, part_generated in parts:
+    with ProcessPoolExecutor(max_workers=len(starts)) as pool:
+        futures = [
+            pool.submit(_extend_retained, items[k : k + step], *args, 0.0, 0.0, k * per_item)
+            for k in starts
+        ]
+        for future in futures:
+            part_total, part_comp, part_retained, _ = future.result()
             total, comp = _neumaier_add(total, comp, part_total)
             total, comp = _neumaier_add(total, comp, part_comp)
             retained.extend(part_retained)
-            generated += part_generated
-    return total, comp, retained, generated
+    return total, comp, retained, len(items) * per_item
 
 
 def run(
@@ -333,8 +326,12 @@ def run(
     `stages` holds one arc-spec batch per growth stage; the last batch
     is treated as final. With no batches this degenerates to the
     initial enumeration. Each returned row carries the exact
-    reliability of the network as grown up to that stage.
+    reliability of the network as grown up to that stage and the wall
+    time of the stage's own work (binding a batch is not counted).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    start = time.perf_counter()
     state = initial_stage(net, max_arcs=max_arcs, trace=trace)
     results = [
         StageResult(
@@ -343,6 +340,7 @@ def run(
             reliability=state.reliability,
             infeasible_count=len(state.infeasible),
             vectors_generated=1 << net.arc_count,
+            elapsed_s=time.perf_counter() - start,
         )
     ]
     for k, specs in enumerate(stages):

@@ -43,6 +43,16 @@ def _check_probability(p: float) -> float:
     return p
 
 
+def _check_arc(u: int, v: int, pairs: set[frozenset[int]]) -> None:
+    """Reject a self-loop or an unordered pair already in `pairs`, then record it."""
+    if u == v:
+        raise ValueError(f"self-loop at node {u}")
+    pair = frozenset((u, v))
+    if pair in pairs:
+        raise ValueError(f"parallel arc between {u} and {v}")
+    pairs.add(pair)
+
+
 @dataclass(frozen=True)
 class Network:
     """Undirected simple graph with one working probability per arc.
@@ -74,14 +84,9 @@ class Network:
             raise ValueError("source and sink must be distinct")
         seen: set[frozenset[int]] = set()
         for u, v in self.arcs:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
+            _check_arc(u, v, seen)
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"arc ({u}, {v}) references an unknown node")
-            pair = frozenset((u, v))
-            if pair in seen:
-                raise ValueError(f"parallel arc between {u} and {v}")
-            seen.add(pair)
 
     @property
     def arc_count(self) -> int:
@@ -127,13 +132,8 @@ class Expansion:
             u, v = int(u), int(v)
             if u < 1 or v < 1:
                 raise ExpansionError(f"node ids must be positive, got ({u}, {v})")
-            if u == v:
-                raise ExpansionError(f"self-loop at node {u}")
-            pair = frozenset((u, v))
-            if pair in pairs:
-                raise ExpansionError(f"parallel arc between {u} and {v}")
-            pairs.add(pair)
             try:
+                _check_arc(u, v, pairs)
                 probs.append(_check_probability(p))
             except ValueError as exc:
                 raise ExpansionError(str(exc)) from None

@@ -15,9 +15,7 @@ node ids.
 
 from __future__ import annotations
 
-import math
-
-from increl.model import ArcSpec, Network, ParseError
+from increl.model import ArcSpec, Network, ParseError, _check_arc, _check_probability
 
 
 def _significant_lines(text: str):
@@ -34,7 +32,8 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
         raise ParseError(f"{what} must be an integer, got {token!r}", lineno) from None
 
 
-def _parse_arc_line(fields: list[str], lineno: int) -> ArcSpec:
+def _parse_arc_line(fields: list[str], lineno: int, pairs: set[frozenset[int]]) -> ArcSpec:
+    """Parse one arc line, checking it against the `pairs` seen so far in the file."""
     if fields[0] != "arc":
         raise ParseError(f"expected an 'arc' line, got {fields[0]!r}", lineno)
     if len(fields) != 4:
@@ -45,12 +44,13 @@ def _parse_arc_line(fields: list[str], lineno: int) -> ArcSpec:
         p = float(fields[3])
     except ValueError:
         raise ParseError(f"probability must be a number, got {fields[3]!r}", lineno) from None
-    if not math.isfinite(p) or p < 0.0 or p > 1.0:
-        raise ParseError(f"probability {fields[3]} outside [0, 1]", lineno)
-    if u < 1 or v < 1:
-        raise ParseError(f"node ids must be positive, got {u} and {v}", lineno)
-    if u == v:
-        raise ParseError(f"self-loop at node {u}", lineno)
+    try:
+        p = _check_probability(p)
+        if u < 1 or v < 1:
+            raise ValueError(f"node ids must be positive, got {u} and {v}")
+        _check_arc(u, v, pairs)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
     return u, v, p
 
 
@@ -72,15 +72,11 @@ def parse_network(text: str) -> Network:
             if count < 2:
                 raise ParseError("a network needs at least 2 nodes", lineno)
             continue
-        u, v, p = _parse_arc_line(fields, lineno)
+        u, v, p = _parse_arc_line(fields, lineno, pairs)
         if u > count or v > count:
             raise ParseError(
                 f"arc ({u}, {v}) references a node beyond the declared {count}", lineno
             )
-        pair = frozenset((u, v))
-        if pair in pairs:
-            raise ParseError(f"parallel arc between {u} and {v}", lineno)
-        pairs.add(pair)
         arcs.append((u, v))
         probs.append(p)
     if count is None:
@@ -104,12 +100,7 @@ def parse_expansion_specs(text: str) -> tuple[ArcSpec, ...]:
     specs: list[ArcSpec] = []
     pairs: set[frozenset[int]] = set()
     for lineno, fields in _significant_lines(text):
-        u, v, p = _parse_arc_line(fields, lineno)
-        pair = frozenset((u, v))
-        if pair in pairs:
-            raise ParseError(f"parallel arc between {u} and {v}", lineno)
-        pairs.add(pair)
-        specs.append((u, v, p))
+        specs.append(_parse_arc_line(fields, lineno, pairs))
     if not specs:
         raise ParseError("expansion file contains no arcs")
     return tuple(specs)

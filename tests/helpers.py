@@ -1,11 +1,13 @@
-"""Shared test utilities: the bridge scenario and random scenario drawing."""
+"""Shared test utilities: the bridge scenario, random scenarios, malformed inputs."""
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
 
-from increl import Expansion, Network, extend_network
+import pytest
+
+from increl import Expansion, ExpansionError, Network, ParseError, extend_network
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_DIR = Path(__file__).parent.parent / "fixtures"
@@ -102,3 +104,38 @@ def random_scenario(rng: random.Random, max_nodes: int = 8, max_total_arcs: int 
             stages.append(tuple(batch))
     assert stages, "scenario generator always finds room for one batch"
     return net, stages
+
+
+
+BRIDGE_NET_TEXT = (FIXTURE_DIR / "bridge.net").read_text()
+
+
+def _case(name, net_text, inc_text, error, fragment, line, exit_code):
+    return pytest.param(net_text, inc_text, error, fragment, line, exit_code, id=name)
+
+
+# Malformed input pinned end to end: NET text, INC text or None, the
+# exception the library raises, a message fragment, the reported line
+# number (None when the error has none) and the CLI exit code.
+VALIDATION_CASES = [
+    _case("net-self-loop", "nodes 4\narc 3 3 0.5\n", None,
+          ParseError, "self-loop at node 3", 2, 1),
+    _case("net-non-positive-node", "nodes 4\narc 0 2 0.5\n", None,
+          ParseError, "node ids must be positive", 2, 1),
+    _case("net-duplicate-pair", "nodes 4\narc 1 2 0.5\n\narc 2 1 0.5\n", None,
+          ParseError, "parallel arc between 2 and 1", 4, 1),
+    _case("net-probability", "nodes 4\narc 1 2 1.5\n", None,
+          ParseError, "probability 1.5 outside [0, 1]", 2, 1),
+    _case("net-node-beyond-count", "nodes 4\narc 1 5 0.5\n", None,
+          ParseError, "beyond the declared 4", 2, 1),
+    _case("inc-non-positive-node", BRIDGE_NET_TEXT, "arc 2 5 0.9\narc -1 5 0.9\n",
+          ParseError, "node ids must be positive", 2, 1),
+    _case("inc-self-loop", BRIDGE_NET_TEXT, "arc 5 5 0.9\n",
+          ParseError, "self-loop at node 5", 1, 1),
+    _case("inc-duplicate-pair", BRIDGE_NET_TEXT, "arc 2 5 0.9\n# comment\narc 5 2 0.9\n",
+          ParseError, "parallel arc between 5 and 2", 3, 1),
+    _case("inc-probability", BRIDGE_NET_TEXT, "arc 2 5 1.5\n",
+          ParseError, "probability 1.5 outside [0, 1]", 1, 1),
+    _case("inc-parallel-to-net", BRIDGE_NET_TEXT, "arc 4 2 0.9\n",
+          ExpansionError, "parallel arc between 4 and 2", None, 3),
+]

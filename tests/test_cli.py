@@ -3,12 +3,13 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from increl.cli import build_run_report, main
 from increl.engine import StageResult
-from helpers import DATA_DIR, FIXTURE_DIR
+from helpers import DATA_DIR, FIXTURE_DIR, VALIDATION_CASES
 
 BRIDGE = str(FIXTURE_DIR / "bridge.net")
 GROW1 = str(FIXTURE_DIR / "bridge_grow1.inc")
@@ -86,6 +87,23 @@ def test_run_invalid_increment_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", BRIDGE, str(dup))
     assert code == 3
     assert "parallel" in err
+
+
+@pytest.mark.parametrize("net_text, inc_text, error, fragment, line, exit_code", VALIDATION_CASES)
+def test_malformed_input_exit_codes(
+    tmp_path, capsys, net_text, inc_text, error, fragment, line, exit_code
+):
+    net = tmp_path / "net.net"
+    net.write_text(net_text)
+    argv = ["run", str(net)]
+    if inc_text is not None:
+        inc = tmp_path / "grow.inc"
+        inc.write_text(inc_text)
+        argv.append(str(inc))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert fragment in err
+    assert (f"line {line}: " in err) if line is not None else ("line " not in err)
 
 
 def test_run_trace_matches_goldens(tmp_path, capsys):
@@ -194,6 +212,14 @@ def test_parallel_flag(capsys):
     assert "reliability: 0.98872974" in out
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_parallel_rejects_fewer_than_one_worker(capsys, workers):
+    code, out, err = run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--parallel", workers)
+    assert code == 1
+    assert out == ""
+    assert "at least 1" in err
+
+
 def test_output_stable_across_runs(capsys):
     _, first, _ = run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--format", "csv")
     _, second, _ = run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--format", "csv")
@@ -225,18 +251,32 @@ def test_version(capsys):
 
 
 def test_module_and_script_entry_points():
+    import os
     import subprocess
     import sys
+    import tomllib
 
+    import increl
+
+    # Both entry points must load the package under test, wherever it lives.
+    env = {**os.environ, "PYTHONPATH": str(Path(increl.__file__).resolve().parent.parent)}
     module_run = subprocess.run(
         [sys.executable, "-m", "increl", "compute", BRIDGE],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert module_run.returncode == 0
     assert "reliability: 0.97848" in module_run.stdout
+    # Run the [project.scripts] target the way the installed wrapper does.
+    pyproject = tomllib.loads((FIXTURE_DIR.parent / "pyproject.toml").read_text())
+    module, func = pyproject["project"]["scripts"]["increl"].split(":")
+    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
     script_run = subprocess.run(
-        ["increl", "version"], capture_output=True, text=True
+        [sys.executable, "-c", wrapper, "version"],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert script_run.returncode == 0
     assert script_run.stdout.startswith("increl ")

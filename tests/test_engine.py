@@ -1,5 +1,6 @@
 """Staged engine: stage 0, extensions, conservation, caps, parallel mode."""
 
+import dataclasses
 import math
 import random
 
@@ -11,6 +12,7 @@ from increl import (
     Expansion,
     ExpansionError,
     Network,
+    StageResult,
     brute_force_reliability,
     full_enumeration_counts,
     initial_stage,
@@ -172,6 +174,38 @@ def test_savings_bound_against_naive():
             assert results[k].vectors_generated == results[k - 1].infeasible_count * combos
 
 
+def _hand_driven(net, stages):
+    """The stage sequence the benchmark job makes without `run`."""
+    state = initial_stage(net)
+    results = [
+        StageResult(0, net.arc_count, state.reliability, len(state.infeasible), 1 << net.arc_count)
+    ]
+    for k, specs in enumerate(stages):
+        expansion = Expansion.for_network(state.network, specs)
+        state, result = run_expansion(state, expansion, final=(k == len(stages) - 1))
+        results.append(result)
+    return results
+
+
+def _comparable(result):
+    row = dataclasses.asdict(result)
+    del row["elapsed_s"]
+    row["reliability"] = result.reliability.hex()
+    return row
+
+
+@pytest.mark.parametrize(
+    "net, stages",
+    [(bridge(0.9), bridge_stages()), random_scenario(random.Random(5))],
+    ids=["bridge", "random-scenario"],
+)
+def test_run_equals_hand_driven_stages(net, stages):
+    driven = run(net, stages)
+    by_hand = _hand_driven(net, stages)
+    assert [_comparable(r) for r in driven] == [_comparable(r) for r in by_hand]
+    assert all(r.elapsed_s >= 0 for r in driven + by_hand)
+
+
 def test_full_enumeration_counts():
     assert full_enumeration_counts(bridge(), bridge_stages()) == [32, 128, 256]
     assert full_enumeration_counts(bridge(), []) == [32]
@@ -209,6 +243,17 @@ def test_parallel_mode_matches_sequential():
     ]
     for a, b in zip(parallel, sequential):
         assert a.reliability == pytest.approx(b.reliability, abs=1e-12)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_expansion_rejects_fewer_than_one_worker(workers):
+    state = initial_stage(bridge())
+    expansion = Expansion.for_network(state.network, bridge_stages()[0])
+    with pytest.raises(ValueError, match="at least 1"):
+        run_expansion(state, expansion, final=False, workers=workers)
+    # `run` rejects it before stage 0, even when no growth stage follows.
+    with pytest.raises(ValueError, match="at least 1"):
+        run(bridge(), [], workers=workers)
 
 
 def test_parallel_retained_set_identical_to_sequential():

@@ -4,9 +4,15 @@ import random
 
 import pytest
 
-from increl import ParseError, parse_expansion_specs, parse_network, serialize_network
+from increl import (
+    Expansion,
+    ParseError,
+    parse_expansion_specs,
+    parse_network,
+    serialize_network,
+)
 from increl.model import Network
-from helpers import FIXTURE_DIR
+from helpers import FIXTURE_DIR, VALIDATION_CASES
 
 BRIDGE_TEXT = (FIXTURE_DIR / "bridge.net").read_text()
 
@@ -71,6 +77,19 @@ def test_parse_allows_arcless_network():
     net = parse_network("nodes 3\n")
     assert net.arc_count == 0
     assert net.node_count == 3
+
+
+@pytest.mark.parametrize("net_text, inc_text, error, fragment, line, exit_code", VALIDATION_CASES)
+def test_malformed_input_is_rejected_where_pinned(
+    net_text, inc_text, error, fragment, line, exit_code
+):
+    with pytest.raises(error) as info:
+        net = parse_network(net_text)
+        if inc_text is not None:
+            Expansion.for_network(net, parse_expansion_specs(inc_text))
+    assert type(info.value) is error
+    assert fragment in str(info.value)
+    assert getattr(info.value, "line", None) == line
 
 
 def test_expansion_specs_parse_and_reject_duplicates():
