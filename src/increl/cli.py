@@ -7,8 +7,9 @@ Subcommands::
     increl oracle <net>                       brute-force cross-check
     increl version
 
-Exit codes: 0 ok, 1 parse error or unreadable file, 2 size cap
-exceeded, 3 invalid expansion.
+Exit codes: 0 ok (also for ``--help``), 1 parse error, unreadable
+file or command-line usage error, 2 size cap exceeded, 3 invalid
+expansion.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     naive = full_enumeration_counts(net, stage_specs)
     trace = TraceDirectory(Path(args.trace)) if args.trace else None
     try:
-        results = run(net, stage_specs, workers=args.parallel, trace=trace)
+        results = run(net, stage_specs, trace=trace)
     finally:
         if trace is not None:
             trace.close()
@@ -198,9 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--format", choices=("human", "csv", "json"), default="human", help="output format"
     )
-    p_run.add_argument(
-        "--parallel", type=int, default=1, metavar="K", help="worker processes (at least 1)"
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="brute-force reliability (small networks)")
@@ -213,7 +211,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "size cap exceeded" here.
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except CapExceededError as exc:

@@ -140,6 +140,7 @@ def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
 def initial_stage(
     net: Network,
     max_arcs: int = DEFAULT_MAX_ARCS,
+    max_retained: int = DEFAULT_MAX_RETAINED,
     trace: TraceFn | None = None,
 ) -> EngineState:
     """Full enumeration of the original network.
@@ -168,6 +169,8 @@ def initial_stage(
             total, comp = _neumaier_add(total, comp, vector_probability(bits, net))
         else:
             retained.append(Retained(tuple(bits), part, index))
+            if len(retained) > max_retained:
+                raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
         if trace is not None:
             trace(TraceRow(0, index, index, tuple(bits), part, connected))
         if cursor.advance() is None:
@@ -180,7 +183,6 @@ def run_expansion(
     expansion: Expansion,
     final: bool,
     max_retained: int = DEFAULT_MAX_RETAINED,
-    workers: int = 1,
     trace: TraceFn | None = None,
 ) -> tuple[EngineState, StageResult]:
     """Extend every retained vector by one batch of new arcs.
@@ -190,17 +192,11 @@ def run_expansion(
     `final`, because its result is known infeasible and would never be
     used). Feasible extensions are folded into the reliability sum;
     infeasible ones form the next retained set, or are dropped
-    entirely on the final stage.
-
-    With `workers` > 1 the retained set is split into contiguous
-    chunks processed in parallel; partial sums merge in chunk order,
-    so the result is deterministic for a fixed worker count but may
-    differ from the sequential sum in the last bits. Tracing always
-    runs sequentially.
+    entirely on the final stage. The connectivity and probability
+    calls go through this module's globals so instrumentation can
+    rebind them.
     """
     start = time.perf_counter()
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if state.finalized:
         raise ExpansionError("the final stage has already run")
     width = expansion.arc_count
@@ -211,16 +207,26 @@ def run_expansion(
     new_net = extend_network(state.network, expansion)
     stage = state.stage_index + 1
 
-    args = (expansion, new_net, final, max_retained)
-    if workers > 1 and trace is None and len(state.infeasible) >= workers:
-        total, comp, retained, generated = _run_parallel(state, workers, *args)
-    else:
-        total, comp, retained, generated = _extend_retained(
-            state.infeasible, *args, state.reliability_sum, state.reliability_comp, 0, stage, trace
-        )
+    total, comp = state.reliability_sum, state.reliability_comp
+    retained: list[Retained] = []
+    generated = 0
+    for item in state.infeasible:
+        for combo in _combinations(width, final):
+            generated += 1
+            extended = item.bits + combo
+            if trace is not None:
+                connected, part = extend_partition_detail(item.partition, combo, expansion)
+                trace(TraceRow(stage, item.index, generated, extended, part, connected))
+            else:
+                part = extend_partition(item.partition, combo, expansion)
+                connected = part is None
+            if connected:
+                total, comp = _neumaier_add(total, comp, vector_probability(extended, new_net))
+            elif not final:
+                retained.append(Retained(extended, part, generated))
+                if len(retained) > max_retained:
+                    raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
 
-    if len(retained) > max_retained:
-        raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
     new_state = EngineState(
         network=new_net,
         stage_index=stage,
@@ -240,85 +246,11 @@ def run_expansion(
     return new_state, result
 
 
-def _extend_retained(
-    items: Sequence[Retained],
-    expansion: Expansion,
-    new_net: Network,
-    final: bool,
-    max_retained: int,
-    total: float,
-    comp: float,
-    base_index: int,
-    stage: int = 0,
-    trace: TraceFn | None = None,
-) -> tuple[float, float, list[Retained], int]:
-    """The extension loop, shared by the sequential and parallel paths.
-
-    Folds feasible extensions of `items` into the running sum
-    (`total`, `comp`) and returns it with the infeasible extensions and
-    the number of vectors generated. Generation indices continue from
-    `base_index`. The connectivity and probability calls go through
-    this module's globals so instrumentation can rebind them.
-    """
-    width = expansion.arc_count
-    retained: list[Retained] = []
-    generated = base_index
-    for item in items:
-        for combo in _combinations(width, final):
-            generated += 1
-            extended = item.bits + combo
-            if trace is not None:
-                connected, part = extend_partition_detail(item.partition, combo, expansion)
-                trace(TraceRow(stage, item.index, generated, extended, part, connected))
-            else:
-                part = extend_partition(item.partition, combo, expansion)
-                connected = part is None
-            if connected:
-                total, comp = _neumaier_add(total, comp, vector_probability(extended, new_net))
-            elif not final:
-                retained.append(Retained(extended, part, generated))
-                if len(retained) > max_retained:
-                    raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
-    return total, comp, retained, generated - base_index
-
-
-def _run_parallel(
-    state: EngineState,
-    workers: int,
-    expansion: Expansion,
-    new_net: Network,
-    final: bool,
-    max_retained: int,
-) -> tuple[float, float, list[Retained], int]:
-    """`_extend_retained` over contiguous chunks in worker processes, merged in chunk order."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    items = state.infeasible
-    args = (expansion, new_net, final, max_retained)
-    per_item = (1 << expansion.arc_count) - (1 if final else 0)
-    step = -(-len(items) // workers)
-    starts = range(0, len(items), step)
-    total, comp = state.reliability_sum, state.reliability_comp
-    retained: list[Retained] = []
-    with ProcessPoolExecutor(max_workers=len(starts)) as pool:
-        futures = [
-            pool.submit(_extend_retained, items[k : k + step], *args, 0.0, 0.0, k * per_item)
-            for k in starts
-        ]
-        for future in futures:
-            part_total, part_comp, part_retained, _ = future.result()
-            total, comp = _neumaier_add(total, comp, part_total)
-            total, comp = _neumaier_add(total, comp, part_comp)
-            retained.extend(part_retained)
-    return total, comp, retained, len(items) * per_item
-
-
 def run(
     net: Network,
     stages: Sequence[Iterable[ArcSpec]],
     max_arcs: int = DEFAULT_MAX_ARCS,
     max_retained: int = DEFAULT_MAX_RETAINED,
-    workers: int = 1,
     trace: TraceFn | None = None,
 ) -> list[StageResult]:
     """Run the full staged computation.
@@ -329,10 +261,8 @@ def run(
     reliability of the network as grown up to that stage and the wall
     time of the stage's own work (binding a batch is not counted).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
-    state = initial_stage(net, max_arcs=max_arcs, trace=trace)
+    state = initial_stage(net, max_arcs=max_arcs, max_retained=max_retained, trace=trace)
     results = [
         StageResult(
             stage_index=0,
@@ -350,7 +280,6 @@ def run(
             expansion,
             final=(k == len(stages) - 1),
             max_retained=max_retained,
-            workers=workers,
             trace=trace,
         )
         results.append(result)

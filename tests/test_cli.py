@@ -1,5 +1,6 @@
 """Command-line behaviour: subcommands, exit codes, formats, traces."""
 
+import functools
 import json
 import random
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from increl import cli, engine
 from increl.cli import build_run_report, main
 from increl.engine import StageResult
 from helpers import DATA_DIR, FIXTURE_DIR, VALIDATION_CASES
@@ -59,6 +61,15 @@ def test_compute_over_cap(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compute", str(big))
     assert code == 2
     assert "capped" in err
+
+
+def test_compute_over_retained_cap(monkeypatch, capsys):
+    # Stage 0 of the bridge retains 16 vectors; a cap of 3 must trip there.
+    monkeypatch.setattr(cli, "run", functools.partial(engine.run, max_retained=3))
+    code, out, err = run_cli(capsys, "compute", BRIDGE)
+    assert code == 2
+    assert out == ""
+    assert "retained" in err
 
 
 def test_run_bridge_counts(capsys):
@@ -206,18 +217,20 @@ def test_json_format(capsys):
     assert payload["stages"][0]["reliability"] == pytest.approx(0.97848, abs=1e-12)
 
 
-def test_parallel_flag(capsys):
-    code, out, _ = run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--parallel", "2")
-    assert code == 0
-    assert "reliability: 0.98872974" in out
-
-
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_parallel_rejects_fewer_than_one_worker(capsys, workers):
-    code, out, err = run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--parallel", workers)
+@pytest.mark.parametrize("flags", [["--bogus"], ["--parallel", "2"]], ids=["bogus", "parallel"])
+def test_usage_error_exits_1(capsys, flags):
+    code, out, err = run_cli(capsys, "run", BRIDGE, *flags)
     assert code == 1
     assert out == ""
-    assert "at least 1" in err
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "run"])
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: increl")
+    assert "--parallel" not in out
 
 
 def test_output_stable_across_runs(capsys):

@@ -1,4 +1,4 @@
-"""Staged engine: stage 0, extensions, conservation, caps, parallel mode."""
+"""Staged engine: stage 0, extensions, conservation, caps, traces."""
 
 import dataclasses
 import math
@@ -46,6 +46,14 @@ def test_initial_stage_rejects_arcless_network():
 def test_initial_stage_cap():
     with pytest.raises(CapExceededError):
         initial_stage(bridge(), max_arcs=4)
+
+
+def test_initial_stage_retained_cap():
+    # Stage 0 of the bridge retains 16 vectors.
+    with pytest.raises(CapExceededError, match="retained"):
+        initial_stage(bridge(), max_retained=3)
+    with pytest.raises(CapExceededError, match="retained"):
+        run(bridge(), [], max_retained=3)
 
 
 def test_first_expansion_counts_and_retention():
@@ -229,48 +237,6 @@ def test_full_enumeration_counts_overflow_guard():
     )
     with pytest.raises(CapExceededError):
         full_enumeration_counts(wide, [])
-
-
-def test_parallel_mode_matches_sequential():
-    net, stages = bridge(0.9), bridge_stages()
-    sequential = run(net, stages)
-    parallel = run(net, stages, workers=2)
-    assert [r.vectors_generated for r in parallel] == [
-        r.vectors_generated for r in sequential
-    ]
-    assert [r.infeasible_count for r in parallel] == [
-        r.infeasible_count for r in sequential
-    ]
-    for a, b in zip(parallel, sequential):
-        assert a.reliability == pytest.approx(b.reliability, abs=1e-12)
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_run_expansion_rejects_fewer_than_one_worker(workers):
-    state = initial_stage(bridge())
-    expansion = Expansion.for_network(state.network, bridge_stages()[0])
-    with pytest.raises(ValueError, match="at least 1"):
-        run_expansion(state, expansion, final=False, workers=workers)
-    # `run` rejects it before stage 0, even when no growth stage follows.
-    with pytest.raises(ValueError, match="at least 1"):
-        run(bridge(), [], workers=workers)
-
-
-def test_parallel_retained_set_identical_to_sequential():
-    rng = random.Random(1234)
-    net, stages = random_scenario(rng)
-    state = initial_stage(net)
-    expansion = Expansion.for_network(state.network, stages[0])
-    seq_state, seq_result = run_expansion(state, expansion, final=False)
-    par_state, par_result = run_expansion(state, expansion, final=False, workers=3)
-    assert par_result.vectors_generated == seq_result.vectors_generated
-    assert [(r.bits, r.index) for r in par_state.infeasible] == [
-        (r.bits, r.index) for r in seq_state.infeasible
-    ]
-    assert [r.partition for r in par_state.infeasible] == [
-        r.partition for r in seq_state.infeasible
-    ]
-    assert par_state.reliability == pytest.approx(seq_state.reliability, abs=1e-12)
 
 
 def test_trace_callback_sees_every_vector():
