@@ -100,6 +100,7 @@ def build_run_report(
                     "retained": r.infeasible_count,
                     "reliability": round12(r.reliability),
                     "elapsed_s": round(elapsed[k], 6),
+                    "partitions_extended": r.partitions_extended,
                 }
                 for k, r in enumerate(results)
             ],

@@ -10,13 +10,25 @@ vectors replace the old set wholesale. On the final stage nothing is
 retained and the all-zero combination is skipped outright, since a
 disconnected graph gains nothing from zero new arcs.
 
+What a combination does to a vector depends only on the vector's
+partition, and many retained vectors share one. So each stage updates
+every distinct parent partition once per combination and reuses the
+outcomes for every vector holding it; partitions are interned by value,
+so equal ones are one object. The vectors themselves are still visited
+one by one, in the same order, so counts, traces and sums are those of
+the plain per-vector loop.
+
 Reliability is accumulated with compensated summation in a fixed
-order, so identical inputs produce bit-identical results.
+order, so identical inputs produce bit-identical results. The cyclic
+garbage collector is paused inside the stage loops: they allocate
+millions of small objects and form no cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -82,7 +94,12 @@ class EngineState:
 
 @dataclass(frozen=True)
 class StageResult:
-    """Per-stage report row: reliability, work counters and wall time."""
+    """Per-stage report row: reliability, work counters and wall time.
+
+    `partitions_extended` counts the parent partitions the stage ran its
+    combinations against: each distinct one once, or every retained
+    vector's for a batch too wide to memoise. It is 0 at stage 0.
+    """
 
     stage_index: int
     arc_count: int
@@ -90,6 +107,7 @@ class StageResult:
     infeasible_count: int
     vectors_generated: int
     elapsed_s: float = 0.0
+    partitions_extended: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,7 +131,8 @@ class TraceRow:
 TraceFn = Callable[[TraceRow], None]
 
 # Widths up to this are enumerated once and reused across retained
-# vectors; anything wider is streamed to keep memory flat.
+# vectors, and their outcomes are memoised per partition; anything wider
+# is streamed to keep memory flat.
 _COMBO_CACHE_WIDTH = 16
 _combo_cache: dict[tuple[int, bool], tuple[Bits, ...]] = {}
 
@@ -126,6 +145,48 @@ def _combinations(width: int, skip_zero: bool):
     if cached is None:
         cached = _combo_cache[key] = tuple(counting_vectors(width, skip_zero=skip_zero))
     return cached
+
+
+@contextmanager
+def _gc_paused():
+    """Disable the cyclic collector, restoring the caller's setting after."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _outcomes(
+    partition: NodePartition,
+    expansion: Expansion,
+    final: bool,
+    trace: TraceFn | None,
+    memoise: bool,
+    interned: dict[NodePartition, NodePartition],
+):
+    """Yield what each of the stage's combinations makes of one partition.
+
+    Traced stages yield `(connected, partition)` for the trace row.
+    Otherwise an outcome is None when the terminals connect, else the
+    child partition, or False on a final stage, where it would never
+    be used. Partitions the stage keeps, in its memo or its retained
+    set, are interned.
+    """
+    for combo in _combinations(expansion.arc_count, final):
+        if trace is not None:
+            connected, part = extend_partition_detail(partition, combo, expansion)
+            if memoise or not (connected or final):
+                part = interned.setdefault(part, part)
+            yield connected, part
+        else:
+            part = extend_partition(partition, combo, expansion)
+            if part is None:
+                yield None
+            else:
+                yield False if final else interned.setdefault(part, part)
 
 
 def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -160,21 +221,24 @@ def initial_stage(
     total = 0.0
     comp = 0.0
     retained: list[Retained] = []
+    interned: dict[NodePartition, NodePartition] = {}
     index = 0
-    while True:
-        index += 1
-        part = partition_nodes(net, bits)
-        connected = is_connected(part)
-        if connected:
-            total, comp = _neumaier_add(total, comp, vector_probability(bits, net))
-        else:
-            retained.append(Retained(tuple(bits), part, index))
-            if len(retained) > max_retained:
-                raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
-        if trace is not None:
-            trace(TraceRow(0, index, index, tuple(bits), part, connected))
-        if cursor.advance() is None:
-            break
+    with _gc_paused():
+        while True:
+            index += 1
+            part = partition_nodes(net, bits)
+            connected = is_connected(part)
+            if connected:
+                total, comp = _neumaier_add(total, comp, vector_probability(bits, net))
+            else:
+                part = interned.setdefault(part, part)
+                retained.append(Retained(tuple(bits), part, index))
+                if len(retained) > max_retained:
+                    raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
+            if trace is not None:
+                trace(TraceRow(0, index, index, tuple(bits), part, connected))
+            if cursor.advance() is None:
+                break
     return EngineState(net, 0, total, comp, tuple(retained))
 
 
@@ -192,9 +256,16 @@ def run_expansion(
     `final`, because its result is known infeasible and would never be
     used). Feasible extensions are folded into the reliability sum;
     infeasible ones form the next retained set, or are dropped
-    entirely on the final stage. The connectivity and probability
-    calls go through this module's globals so instrumentation can
-    rebind them.
+    entirely on the final stage.
+
+    The partition update runs once per distinct parent partition and
+    combination: its outcomes are memoised for the stage, keyed on the
+    partition by value, and every retained vector holding that
+    partition reuses them. A final stage without a trace memoises only
+    whether each combination connects. Batches wider than
+    `_COMBO_CACHE_WIDTH` arcs are streamed and not memoised, so memory
+    stays flat. The connectivity and probability calls go through this
+    module's globals so instrumentation can rebind them.
     """
     start = time.perf_counter()
     if state.finalized:
@@ -210,22 +281,34 @@ def run_expansion(
     total, comp = state.reliability_sum, state.reliability_comp
     retained: list[Retained] = []
     generated = 0
-    for item in state.infeasible:
-        for combo in _combinations(width, final):
-            generated += 1
-            extended = item.bits + combo
-            if trace is not None:
-                connected, part = extend_partition_detail(item.partition, combo, expansion)
-                trace(TraceRow(stage, item.index, generated, extended, part, connected))
-            else:
-                part = extend_partition(item.partition, combo, expansion)
-                connected = part is None
-            if connected:
-                total, comp = _neumaier_add(total, comp, vector_probability(extended, new_net))
-            elif not final:
-                retained.append(Retained(extended, part, generated))
-                if len(retained) > max_retained:
-                    raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
+    memoise = width <= _COMBO_CACHE_WIDTH
+    memo: dict[NodePartition, tuple] = {}
+    interned: dict[NodePartition, NodePartition] = {}
+    partitions_extended = 0
+    with _gc_paused():
+        for item in state.infeasible:
+            outcomes = memo.get(item.partition)
+            if outcomes is None:
+                partitions_extended += 1
+                outcomes = _outcomes(item.partition, expansion, final, trace, memoise, interned)
+                if memoise:
+                    outcomes = memo[item.partition] = tuple(outcomes)
+            for combo, outcome in zip(_combinations(width, final), outcomes):
+                generated += 1
+                extended = item.bits + combo
+                if trace is not None:
+                    connected, part = outcome
+                    trace(TraceRow(stage, item.index, generated, extended, part, connected))
+                else:
+                    connected, part = outcome is None, outcome
+                if connected:
+                    total, comp = _neumaier_add(total, comp, vector_probability(extended, new_net))
+                elif not final:
+                    retained.append(Retained(extended, part, generated))
+                    if len(retained) > max_retained:
+                        raise CapExceededError(
+                            f"retained set exceeds cap of {max_retained} vectors"
+                        )
 
     new_state = EngineState(
         network=new_net,
@@ -242,6 +325,7 @@ def run_expansion(
         infeasible_count=len(retained),
         vectors_generated=generated,
         elapsed_s=time.perf_counter() - start,
+        partitions_extended=partitions_extended,
     )
     return new_state, result
 

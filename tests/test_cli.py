@@ -212,6 +212,8 @@ def test_json_format(capsys):
     assert code == 0
     payload = json.loads(out)
     assert [s["vectors"] for s in payload["stages"]] == [32, 64, 58]
+    # Distinct parent partitions among the 16 and 58 retained vectors.
+    assert [s["partitions_extended"] for s in payload["stages"]] == [0, 10, 27]
     assert payload["totals"] == {"vectors": 154, "naive": 416}
     assert payload["reliability"] == pytest.approx(0.98872974, abs=1e-12)
     assert payload["stages"][0]["reliability"] == pytest.approx(0.97848, abs=1e-12)

@@ -1,6 +1,7 @@
 """Staged engine: stage 0, extensions, conservation, caps, traces."""
 
 import dataclasses
+import gc
 import math
 import random
 
@@ -13,7 +14,12 @@ from increl import (
     ExpansionError,
     Network,
     StageResult,
+    TraceRow,
     brute_force_reliability,
+    counting_vectors,
+    engine,
+    extend_network,
+    extend_partition_detail,
     full_enumeration_counts,
     initial_stage,
     run,
@@ -248,3 +254,128 @@ def test_trace_callback_sees_every_vector():
         by_stage.setdefault(row.stage, []).append(row.index)
     for stage, indices in by_stage.items():
         assert indices == list(range(1, len(indices) + 1))
+
+
+def _reference_expansion(state, expansion, final):
+    """The plain per-vector loop: one partition update per examined vector.
+
+    Returns the reliability as float hex, the retained vectors as
+    (bits, index, partition) and every vector's trace row.
+    """
+    new_net = extend_network(state.network, expansion)
+    stage = state.stage_index + 1
+    total, comp = state.reliability_sum, state.reliability_comp
+    retained, rows = [], []
+    generated = 0
+    for item in state.infeasible:
+        for combo in counting_vectors(expansion.arc_count, skip_zero=final):
+            generated += 1
+            extended = item.bits + combo
+            connected, part = extend_partition_detail(item.partition, combo, expansion)
+            rows.append(TraceRow(stage, item.index, generated, extended, part, connected))
+            if connected:
+                x = vector_probability(extended, new_net)
+                t = total + x
+                comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            elif not final:
+                retained.append((extended, generated, part))
+    return (total + comp).hex(), retained, rows
+
+
+def _retained(state):
+    return [(r.bits, r.index, r.partition) for r in state.infeasible]
+
+
+@pytest.mark.parametrize(
+    "net, stages",
+    [(bridge(0.9), bridge_stages())]
+    + [random_scenario(random.Random(seed)) for seed in range(12)],
+    ids=["bridge"] + [f"random-{seed}" for seed in range(12)],
+)
+def test_run_expansion_matches_per_vector_reference(net, stages):
+    state = initial_stage(net)
+    for k, specs in enumerate(stages):
+        final = k == len(stages) - 1
+        expansion = Expansion.for_network(state.network, specs)
+        reliability, retained, rows = _reference_expansion(state, expansion, final)
+        traced_rows = []
+        traced, _ = run_expansion(state, expansion, final, trace=traced_rows.append)
+        state, result = run_expansion(state, expansion, final)
+        assert traced_rows == rows
+        assert result.vectors_generated == len(rows)
+        for got in (state, traced):
+            assert got.reliability.hex() == reliability
+            assert _retained(got) == retained
+
+
+def _grid_3x3():
+    arcs = []
+    for v in range(1, 10):
+        if v % 3:
+            arcs.append((v, v + 1))
+        if v <= 6:
+            arcs.append((v, v + 3))
+    return Network(frozenset(range(1, 10)), tuple(arcs), (0.9,) * len(arcs), 1, 9)
+
+
+def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
+    calls = 0
+    plain = engine.extend_partition
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return plain(*args)
+
+    monkeypatch.setattr(engine, "extend_partition", counted)
+    batches = [((9, 10, 0.9), (6, 10, 0.9)), ((10, 11, 0.9), (3, 11, 0.9), (5, 11, 0.9))]
+    state = initial_stage(_grid_3x3())
+    expected = examined = 0
+    for k, specs in enumerate(batches):
+        final = k == len(batches) - 1
+        distinct = {r.partition for r in state.infeasible}
+        # Equal partitions are interned: one object per distinct value.
+        assert len({id(r.partition) for r in state.infeasible}) == len(distinct)
+        combos = (1 << len(specs)) - final
+        expected += len(distinct) * combos
+        state, result = run_expansion(state, Expansion.for_network(state.network, specs), final)
+        assert result.partitions_extended == len(distinct)
+        examined += result.vectors_generated
+    assert calls == expected
+    assert calls < examined
+
+
+def test_streamed_batch_matches_the_same_arcs_split_in_two():
+    # One arc between the terminals; its off state is the only retained vector.
+    net = Network(frozenset({1, 2}), ((1, 2),), (0.7,), 1, 2)
+    first = ((1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 2), (1, 6), (6, 2), (3, 4))
+    second = ((4, 5), (5, 6), (1, 7), (7, 2), (7, 3), (1, 8), (8, 2), (8, 6))
+    p = [0.5 + 0.025 * k for k in range(17)]
+    batch = [(u, v, q) for (u, v), q in zip(first + second, p)]
+    assert len(batch) > engine._COMBO_CACHE_WIDTH
+    whole = run(net, [batch])
+    split = run(net, [batch[:9], batch[9:]])
+    assert whole[-1].reliability == pytest.approx(split[-1].reliability, abs=1e-12)
+    assert whole[1].vectors_generated == whole[0].infeasible_count * ((1 << 17) - 1)
+    assert whole[1].partitions_extended == whole[0].infeasible_count == 1
+    assert split[1].vectors_generated == split[0].infeasible_count << 9
+    assert split[2].vectors_generated == split[1].infeasible_count * ((1 << 8) - 1)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_stage_loops_pause_gc_and_restore_the_callers_setting(enabled):
+    seen = []
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        run(bridge(), bridge_stages(), trace=lambda row: seen.append(gc.isenabled()))
+        assert gc.isenabled() is enabled
+        # Stage 0 retains 16 vectors and stage 1 58: trip the cap in each.
+        for cap in (3, 20):
+            with pytest.raises(CapExceededError):
+                run(bridge(), bridge_stages(), max_retained=cap)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen and not any(seen)
