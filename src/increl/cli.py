@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 import increl
+from increl.connectivity import NodePartition
 from increl.engine import StageResult, TraceRow, full_enumeration_counts, run
 from increl.model import CapExceededError, ExpansionError, ParseError
 from increl.netfile import parse_expansion_specs, parse_network
@@ -40,28 +41,42 @@ def format_nodes(nodes: frozenset[int]) -> str:
 TRACE_HEADER = "i,j,vector,source_set,middle_set,sink_set,connected"
 
 
-def format_trace_row(row: TraceRow) -> str:
-    part = row.partition
+def _format_sets(part: NodePartition) -> str:
+    """The ``source_set,middle_set,sink_set`` columns of a trace row."""
     return ",".join(
         (
-            str(row.parent_index),
-            str(row.index),
-            "".join(str(b) for b in row.bits),
             format_nodes(part.source_side),
             format_nodes(part.middle_union()),
             format_nodes(part.sink_side),
-            "Y" if row.connected else "",
         )
     )
 
 
+# Renders a 0/1 vector in one C-level pass: bytes((0, 1)) -> "01".
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _format_row(row: TraceRow, sets: str) -> str:
+    bits = bytes(row.bits).translate(_BIT_CHARS).decode("ascii")
+    return f"{row.parent_index},{row.index},{bits},{sets},{'Y' if row.connected else ''}"
+
+
+def format_trace_row(row: TraceRow) -> str:
+    return _format_row(row, _format_sets(row.partition))
+
+
 class TraceDirectory:
-    """Streams trace rows into one CSV file per stage."""
+    """Streams trace rows into one CSV file per stage.
+
+    Many rows of a stage share a partition, so its set columns are
+    rendered once per stage and looked up by value for the rest.
+    """
 
     def __init__(self, directory: Path):
         self.directory = directory
         directory.mkdir(parents=True, exist_ok=True)
         self._files: dict[int, TextIO] = {}
+        self._sets: dict[NodePartition, str] = {}
 
     def __call__(self, row: TraceRow) -> None:
         handle = self._files.get(row.stage)
@@ -69,12 +84,17 @@ class TraceDirectory:
             handle = (self.directory / f"stage{row.stage}.csv").open("w", encoding="utf-8")
             handle.write(TRACE_HEADER + "\n")
             self._files[row.stage] = handle
-        handle.write(format_trace_row(row) + "\n")
+            self._sets.clear()
+        sets = self._sets.get(row.partition)
+        if sets is None:
+            sets = self._sets[row.partition] = _format_sets(row.partition)
+        handle.write(_format_row(row, sets) + "\n")
 
     def close(self) -> None:
         for handle in self._files.values():
             handle.close()
         self._files.clear()
+        self._sets.clear()
 
 
 def build_run_report(

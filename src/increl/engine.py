@@ -56,7 +56,7 @@ DEFAULT_MAX_RETAINED = 1 << 26
 _MAX_EXPANSION_ARCS = 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Retained:
     """An infeasible vector carried forward to the next stage.
 
@@ -130,21 +130,10 @@ class TraceRow:
 
 TraceFn = Callable[[TraceRow], None]
 
-# Widths up to this are enumerated once and reused across retained
-# vectors, and their outcomes are memoised per partition; anything wider
-# is streamed to keep memory flat.
+# A stage whose batch is at most this wide enumerates its combinations
+# once, for the stage only, and memoises their outcomes per partition;
+# a wider batch is streamed to keep memory flat.
 _COMBO_CACHE_WIDTH = 16
-_combo_cache: dict[tuple[int, bool], tuple[Bits, ...]] = {}
-
-
-def _combinations(width: int, skip_zero: bool):
-    if width > _COMBO_CACHE_WIDTH:
-        return counting_vectors(width, skip_zero=skip_zero)
-    key = (width, skip_zero)
-    cached = _combo_cache.get(key)
-    if cached is None:
-        cached = _combo_cache[key] = tuple(counting_vectors(width, skip_zero=skip_zero))
-    return cached
 
 
 @contextmanager
@@ -161,9 +150,10 @@ def _gc_paused():
 
 def _outcomes(
     partition: NodePartition,
+    combos: Iterable[Bits],
     expansion: Expansion,
     final: bool,
-    trace: TraceFn | None,
+    traced: bool,
     memoise: bool,
     interned: dict[NodePartition, NodePartition],
 ):
@@ -175,8 +165,8 @@ def _outcomes(
     be used. Partitions the stage keeps, in its memo or its retained
     set, are interned.
     """
-    for combo in _combinations(expansion.arc_count, final):
-        if trace is not None:
+    for combo in combos:
+        if traced:
             connected, part = extend_partition_detail(partition, combo, expansion)
             if memoise or not (connected or final):
                 part = interned.setdefault(part, part)
@@ -187,6 +177,22 @@ def _outcomes(
                 yield None
             else:
                 yield False if final else interned.setdefault(part, part)
+
+
+def _memo_entry(outcomes, traced: bool) -> tuple:
+    """Materialise one partition's outcomes for the stage memo.
+
+    A traced entry is two tuples, the connected flags and the
+    partitions, rather than a pair per combination: the flags are the
+    shared True and False, so the memo holds no object per combination.
+    """
+    if not traced:
+        return tuple(outcomes)
+    flags, parts = [], []
+    for connected, part in outcomes:
+        flags.append(connected)
+        parts.append(part)
+    return tuple(flags), tuple(parts)
 
 
 def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -262,7 +268,8 @@ def run_expansion(
     combination: its outcomes are memoised for the stage, keyed on the
     partition by value, and every retained vector holding that
     partition reuses them. A final stage without a trace memoises only
-    whether each combination connects. Batches wider than
+    whether each combination connects. The combinations themselves are
+    built once for the stage and dropped with it. Batches wider than
     `_COMBO_CACHE_WIDTH` arcs are streamed and not memoised, so memory
     stays flat. The connectivity and probability calls go through this
     module's globals so instrumentation can rebind them.
@@ -281,7 +288,10 @@ def run_expansion(
     total, comp = state.reliability_sum, state.reliability_comp
     retained: list[Retained] = []
     generated = 0
+    traced = trace is not None
     memoise = width <= _COMBO_CACHE_WIDTH
+    # None for a streamed batch, which enumerates afresh for each use.
+    combos = tuple(counting_vectors(width, skip_zero=final)) if memoise else None
     memo: dict[NodePartition, tuple] = {}
     interned: dict[NodePartition, NodePartition] = {}
     partitions_extended = 0
@@ -290,13 +300,25 @@ def run_expansion(
             outcomes = memo.get(item.partition)
             if outcomes is None:
                 partitions_extended += 1
-                outcomes = _outcomes(item.partition, expansion, final, trace, memoise, interned)
+                outcomes = _outcomes(
+                    item.partition,
+                    combos or counting_vectors(width, skip_zero=final),
+                    expansion,
+                    final,
+                    traced,
+                    memoise,
+                    interned,
+                )
                 if memoise:
-                    outcomes = memo[item.partition] = tuple(outcomes)
-            for combo, outcome in zip(_combinations(width, final), outcomes):
+                    outcomes = memo[item.partition] = _memo_entry(outcomes, traced)
+            if traced and memoise:
+                outcomes = zip(*outcomes)
+            for combo, outcome in zip(
+                combos or counting_vectors(width, skip_zero=final), outcomes
+            ):
                 generated += 1
                 extended = item.bits + combo
-                if trace is not None:
+                if traced:
                     connected, part = outcome
                     trace(TraceRow(stage, item.index, generated, extended, part, connected))
                 else:

@@ -34,6 +34,21 @@ def bridge_stages(p: float = 0.9):
     ]
 
 
+def grid_3x3() -> Network:
+    """A 3x3 grid, source in one corner and sink in the opposite one."""
+    arcs = []
+    for v in range(1, 10):
+        if v % 3:
+            arcs.append((v, v + 1))
+        if v <= 6:
+            arcs.append((v, v + 3))
+    return Network(frozenset(range(1, 10)), tuple(arcs), (0.9,) * len(arcs), 1, 9)
+
+
+# Two growth batches for grid_3x3: node 10, then node 11.
+GRID_STAGES = [((9, 10, 0.9), (6, 10, 0.9)), ((10, 11, 0.9), (3, 11, 0.9), (5, 11, 0.9))]
+
+
 def cumulative_networks(net: Network, stages) -> list[Network]:
     """The network as grown after each stage, index 0 = original."""
     nets = [net]

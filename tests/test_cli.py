@@ -11,7 +11,14 @@ import pytest
 from increl import cli, engine
 from increl.cli import build_run_report, main
 from increl.engine import StageResult
-from helpers import DATA_DIR, FIXTURE_DIR, VALIDATION_CASES
+from helpers import (
+    DATA_DIR,
+    FIXTURE_DIR,
+    GRID_STAGES,
+    VALIDATION_CASES,
+    grid_3x3,
+    random_scenario,
+)
 
 BRIDGE = str(FIXTURE_DIR / "bridge.net")
 GROW1 = str(FIXTURE_DIR / "bridge_grow1.inc")
@@ -130,6 +137,38 @@ def test_trace_stage1_row_4(tmp_path, capsys):
     run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--trace", str(tmp_path))
     rows = (tmp_path / "stage1.csv").read_text().splitlines()
     assert rows[4] == "1,4,0000011,{1},{3},{2 4 5},"
+
+
+def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
+    rendered = 0
+    plain = cli._format_sets
+
+    def counted(part):
+        nonlocal rendered
+        rendered += 1
+        return plain(part)
+
+    monkeypatch.setattr(cli, "_format_sets", counted)
+    # One directory for both runs: the second run must not see the first's cache.
+    trace = cli.TraceDirectory(tmp_path)
+    for net, stages in (random_scenario(random.Random(5)), (grid_3x3(), GRID_STAGES)):
+        rows = []
+
+        def collect(row):
+            rows.append(row)
+            trace(row)
+
+        rendered = 0
+        try:
+            engine.run(net, stages, trace=collect)
+        finally:
+            trace.close()
+        stage_ids = range(len(stages) + 1)
+        distinct = sum(len({r.partition for r in rows if r.stage == k}) for k in stage_ids)
+        assert rendered == distinct < len(rows)
+        for k in stage_ids:
+            lines = [cli.TRACE_HEADER] + [cli.format_trace_row(r) for r in rows if r.stage == k]
+            assert (tmp_path / f"stage{k}.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_oracle_bridge(capsys):

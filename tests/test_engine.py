@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,14 @@ from increl import (
     run_expansion,
     vector_probability,
 )
-from helpers import bridge, bridge_stages, cumulative_networks, random_scenario
+from helpers import (
+    GRID_STAGES,
+    bridge,
+    bridge_stages,
+    cumulative_networks,
+    grid_3x3,
+    random_scenario,
+)
 
 
 def test_initial_stage_bridge():
@@ -309,16 +317,6 @@ def test_run_expansion_matches_per_vector_reference(net, stages):
             assert _retained(got) == retained
 
 
-def _grid_3x3():
-    arcs = []
-    for v in range(1, 10):
-        if v % 3:
-            arcs.append((v, v + 1))
-        if v <= 6:
-            arcs.append((v, v + 3))
-    return Network(frozenset(range(1, 10)), tuple(arcs), (0.9,) * len(arcs), 1, 9)
-
-
 def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
     calls = 0
     plain = engine.extend_partition
@@ -329,11 +327,10 @@ def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
         return plain(*args)
 
     monkeypatch.setattr(engine, "extend_partition", counted)
-    batches = [((9, 10, 0.9), (6, 10, 0.9)), ((10, 11, 0.9), (3, 11, 0.9), (5, 11, 0.9))]
-    state = initial_stage(_grid_3x3())
+    state = initial_stage(grid_3x3())
     expected = examined = 0
-    for k, specs in enumerate(batches):
-        final = k == len(batches) - 1
+    for k, specs in enumerate(GRID_STAGES):
+        final = k == len(GRID_STAGES) - 1
         distinct = {r.partition for r in state.infeasible}
         # Equal partitions are interned: one object per distinct value.
         assert len({id(r.partition) for r in state.infeasible}) == len(distinct)
@@ -361,6 +358,24 @@ def test_streamed_batch_matches_the_same_arcs_split_in_two():
     assert whole[1].partitions_extended == whole[0].infeasible_count == 1
     assert split[1].vectors_generated == split[0].infeasible_count << 9
     assert split[2].vectors_generated == split[1].infeasible_count * ((1 << 8) - 1)
+
+
+def test_a_dropped_stage_leaves_no_memory_held_by_the_engine():
+    # One arc between the terminals, then a 12-arc batch: 4,096 combinations,
+    # about 0.6 MB of tuples if the engine kept them past the stage.
+    net = Network(frozenset({1, 2}), ((1, 2),), (0.7,), 1, 2)
+    batch = [(1, v, 0.5) for v in range(3, 9)] + [(v, 2, 0.5) for v in range(3, 9)]
+    state = initial_stage(net)
+    expansion = Expansion.for_network(state.network, batch)
+    tracemalloc.start(4)
+    try:
+        run_expansion(state, expansion, final=False)
+        gc.collect()  # also empties the tuple free lists, which tracemalloc counts
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, engine.__file__, all_frames=True)])
+    assert sum(trace.size for trace in held.traces) < 64 << 10
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
