@@ -8,6 +8,7 @@ from increl.connectivity import (
     is_connected,
     layered_search,
     partition_nodes,
+    project_partition,
 )
 from increl.engine import (
     EngineState,
@@ -68,6 +69,7 @@ __all__ = [
     "parse_expansion_specs",
     "parse_network",
     "partition_nodes",
+    "project_partition",
     "run",
     "run_expansion",
     "serialize_network",

@@ -137,6 +137,22 @@ def is_connected(partition: NodePartition) -> bool:
     )
 
 
+def project_partition(partition: NodePartition, keep: frozenset[int]) -> NodePartition:
+    """Restrict a partition to the nodes in `keep`.
+
+    Every component is intersected with `keep`; middle components left
+    empty drop out and the rest are re-sorted by smallest member. When
+    `keep` holds the terminals and every endpoint of an expansion's
+    arcs, the projection connects under each selection of those arcs
+    exactly when the full partition does. A connected partition stays
+    connected, with both sides one object.
+    """
+    source_side = partition.source_side & keep
+    sink_side = source_side if is_connected(partition) else partition.sink_side & keep
+    middle = tuple(sorted((c for c in (comp & keep for comp in partition.middle) if c), key=min))
+    return NodePartition(source_side, sink_side, middle)
+
+
 def extend_partition(
     partition: NodePartition, selected: Sequence[int], expansion: Expansion
 ) -> NodePartition | None:

@@ -18,6 +18,13 @@ so equal ones are one object. The vectors themselves are still visited
 one by one, in the same order, so counts, traces and sums are those of
 the plain per-vector loop.
 
+An untraced final stage only has to know which combinations connect
+the terminals, and that depends only on the partition projected onto
+the terminals and the batch's endpoints. It updates each distinct
+projection once per combination, and then each retained vector visits
+only the combinations that connect it: distinct projections x
+combinations partition updates plus retained + feasible vector steps.
+
 Reliability is accumulated with compensated summation in a fixed
 order, so identical inputs produce bit-identical results. The cyclic
 garbage collector is paused inside the stage loops: they allocate
@@ -30,7 +37,7 @@ import gc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from increl.connectivity import (
     NodePartition,
@@ -38,6 +45,7 @@ from increl.connectivity import (
     extend_partition_detail,
     is_connected,
     partition_nodes,
+    project_partition,
 )
 from increl.enumeration import BitCursor, counting_vectors
 from increl.model import (
@@ -98,7 +106,10 @@ class StageResult:
 
     `partitions_extended` counts the parent partitions the stage ran its
     combinations against: each distinct one once, or every retained
-    vector's for a batch too wide to memoise. It is 0 at stage 0.
+    vector's for a batch too wide to memoise. An untraced final stage
+    runs them against the partitions' projections, fewer still, but
+    counts the distinct parent partitions all the same. It is 0 at
+    stage 0.
     """
 
     stage_index: int
@@ -110,14 +121,14 @@ class StageResult:
     partitions_extended: int = 0
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One examined vector, as emitted to an optional trace callback.
 
     `parent_index` is the generation index of the source vector in the
     previous stage (equal to `index` at stage 0). For connected rows
     the partition shows the merged source/sink component as it stood
-    when the merge was detected.
+    when the merge was detected. A named tuple rather than a frozen
+    dataclass, because one is built per traced vector.
     """
 
     stage: int
@@ -204,6 +215,44 @@ def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
     return t, comp
 
 
+def _connecting_sum(
+    infeasible: Sequence[Retained],
+    expansion: Expansion,
+    combos: tuple[Bits, ...],
+    new_net: Network,
+    total: float,
+    comp: float,
+) -> tuple[float, float, int]:
+    """Fold a final, untraced, memoised stage into the reliability sum.
+
+    Whether a combination connects the terminals depends only on the
+    parent partition projected onto the terminals and the batch's
+    endpoints, and many partitions share a projection. So each distinct
+    projection is extended once per combination, and each retained
+    vector then visits only the combinations that connect it, in
+    counting order: the same terms, added in the same order, as the
+    per-vector loop. Returns the sum, its compensation and the number
+    of distinct parent partitions.
+    """
+    keep = frozenset((new_net.source, new_net.sink)).union(*expansion.arcs)
+    by_parent: dict[NodePartition, tuple[Bits, ...]] = {}
+    by_projection: dict[NodePartition, tuple[Bits, ...]] = {}
+    for item in infeasible:
+        hits = by_parent.get(item.partition)
+        if hits is None:
+            projected = project_partition(item.partition, keep)
+            hits = by_projection.get(projected)
+            if hits is None:
+                hits = by_projection[projected] = tuple(
+                    c for c in combos if extend_partition(projected, c, expansion) is None
+                )
+            by_parent[item.partition] = hits
+        for combo in hits:
+            x = vector_probability(item.bits + combo, new_net)
+            total, comp = _neumaier_add(total, comp, x)
+    return total, comp, len(by_parent)
+
+
 def initial_stage(
     net: Network,
     max_arcs: int = DEFAULT_MAX_ARCS,
@@ -267,12 +316,15 @@ def run_expansion(
     The partition update runs once per distinct parent partition and
     combination: its outcomes are memoised for the stage, keyed on the
     partition by value, and every retained vector holding that
-    partition reuses them. A final stage without a trace memoises only
-    whether each combination connects. The combinations themselves are
-    built once for the stage and dropped with it. Batches wider than
-    `_COMBO_CACHE_WIDTH` arcs are streamed and not memoised, so memory
-    stays flat. The connectivity and probability calls go through this
-    module's globals so instrumentation can rebind them.
+    partition reuses them. A final stage without a trace goes further:
+    it runs the combinations once per distinct projection of the parent
+    partitions onto the batch's endpoints and the terminals, and each
+    vector visits only the combinations that connect it. The
+    combinations themselves are built once for the stage and dropped
+    with it. Batches wider than `_COMBO_CACHE_WIDTH` arcs are streamed
+    and not memoised, so memory stays flat. The connectivity and
+    probability calls go through this module's globals so
+    instrumentation can rebind them.
     """
     start = time.perf_counter()
     if state.finalized:
@@ -296,42 +348,52 @@ def run_expansion(
     interned: dict[NodePartition, NodePartition] = {}
     partitions_extended = 0
     with _gc_paused():
-        for item in state.infeasible:
-            outcomes = memo.get(item.partition)
-            if outcomes is None:
-                partitions_extended += 1
-                outcomes = _outcomes(
-                    item.partition,
-                    combos or counting_vectors(width, skip_zero=final),
-                    expansion,
-                    final,
-                    traced,
-                    memoise,
-                    interned,
-                )
-                if memoise:
-                    outcomes = memo[item.partition] = _memo_entry(outcomes, traced)
-            if traced and memoise:
-                outcomes = zip(*outcomes)
-            for combo, outcome in zip(
-                combos or counting_vectors(width, skip_zero=final), outcomes
-            ):
-                generated += 1
-                extended = item.bits + combo
-                if traced:
-                    connected, part = outcome
-                    trace(TraceRow(stage, item.index, generated, extended, part, connected))
-                else:
-                    connected, part = outcome is None, outcome
-                if connected:
-                    total, comp = _neumaier_add(total, comp, vector_probability(extended, new_net))
-                elif not final:
-                    retained.append(Retained(extended, part, generated))
-                    if len(retained) > max_retained:
-                        raise CapExceededError(
-                            f"retained set exceeds cap of {max_retained} vectors"
-                        )
+        if final and memoise and not traced:
+            total, comp, partitions_extended = _connecting_sum(
+                state.infeasible, expansion, combos, new_net, total, comp
+            )
+            generated = len(state.infeasible) * len(combos)
+        else:
+            for item in state.infeasible:
+                outcomes = memo.get(item.partition)
+                if outcomes is None:
+                    partitions_extended += 1
+                    outcomes = _outcomes(
+                        item.partition,
+                        combos or counting_vectors(width, skip_zero=final),
+                        expansion,
+                        final,
+                        traced,
+                        memoise,
+                        interned,
+                    )
+                    if memoise:
+                        outcomes = memo[item.partition] = _memo_entry(outcomes, traced)
+                if traced and memoise:
+                    outcomes = zip(*outcomes)
+                for combo, outcome in zip(
+                    combos or counting_vectors(width, skip_zero=final), outcomes
+                ):
+                    generated += 1
+                    extended = item.bits + combo
+                    if traced:
+                        connected, part = outcome
+                        trace(TraceRow(stage, item.index, generated, extended, part, connected))
+                    else:
+                        connected, part = outcome is None, outcome
+                    if connected:
+                        x = vector_probability(extended, new_net)
+                        total, comp = _neumaier_add(total, comp, x)
+                    elif not final:
+                        retained.append(Retained(extended, part, generated))
+                        if len(retained) > max_retained:
+                            raise CapExceededError(
+                                f"retained set exceeds cap of {max_retained} vectors"
+                            )
 
+    # Free the stage's tables before the retained tuple is built: that
+    # moment sets the peak memory of a large non-final stage.
+    del memo, interned
     new_state = EngineState(
         network=new_net,
         stage_index=stage,

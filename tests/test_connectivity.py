@@ -4,18 +4,24 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from increl import (
     Expansion,
     ExpansionError,
+    NodePartition,
     concat_bits,
     counting_vectors,
     extend_network,
     extend_partition,
     extend_partition_detail,
+    initial_stage,
     is_connected,
     layered_search,
     partition_nodes,
+    project_partition,
+    run_expansion,
 )
 from helpers import bridge, random_scenario
 
@@ -265,3 +271,43 @@ def test_zero_vector_law():
         assert singletons == {frozenset({v}) for v in expansion.new_nodes}
         checked += 1
     assert checked > 50
+
+
+def test_project_partition_drops_empty_middle_components():
+    part = NodePartition(
+        frozenset({1, 2}), frozenset({4, 8}), (frozenset({3, 9}), frozenset({5}), frozenset({6, 7}))
+    )
+    projected = project_partition(part, frozenset({1, 4, 7, 9}))
+    assert projected.middle == (frozenset({7}), frozenset({9}))
+
+
+def test_project_partition_keeps_the_terminals():
+    part = NodePartition(frozenset({1, 2, 3}), frozenset({4, 5}), (frozenset({6}),))
+    projected = project_partition(part, frozenset({1, 4}))
+    assert projected == NodePartition(frozenset({1}), frozenset({4}), ())
+    assert not is_connected(projected)
+
+
+def test_project_partition_keeps_a_connected_partition_one_object():
+    part = partition_nodes(bridge(), (1, 1, 0, 1, 0))
+    projected = project_partition(part, frozenset({1, 2, 4}))
+    assert projected.source_side is projected.sink_side
+    assert projected.source_side == frozenset({1, 2, 4})
+    assert is_connected(projected)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_projection_onto_batch_endpoints_decides_connectivity(seed):
+    net, stages = random_scenario(random.Random(seed))
+    state = initial_stage(net)
+    for specs in stages[:-1]:
+        state, _ = run_expansion(state, Expansion.for_network(state.network, specs), final=False)
+    expansion = Expansion.for_network(state.network, stages[-1])
+    keep = frozenset({net.source, net.sink}).union(*expansion.arcs)
+    for part in {r.partition for r in state.infeasible}:
+        projected = project_partition(part, keep)
+        for combo in counting_vectors(expansion.arc_count):
+            assert (extend_partition(projected, combo, expansion) is None) == (
+                extend_partition(part, combo, expansion) is None
+            )

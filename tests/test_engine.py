@@ -23,6 +23,7 @@ from increl import (
     extend_partition_detail,
     full_enumeration_counts,
     initial_stage,
+    project_partition,
     run,
     run_expansion,
     vector_probability,
@@ -297,9 +298,9 @@ def _retained(state):
 
 @pytest.mark.parametrize(
     "net, stages",
-    [(bridge(0.9), bridge_stages())]
+    [(bridge(0.9), bridge_stages()), (grid_3x3(), GRID_STAGES)]
     + [random_scenario(random.Random(seed)) for seed in range(12)],
-    ids=["bridge"] + [f"random-{seed}" for seed in range(12)],
+    ids=["bridge", "grid-3x3"] + [f"random-{seed}" for seed in range(12)],
 )
 def test_run_expansion_matches_per_vector_reference(net, stages):
     state = initial_stage(net)
@@ -327,7 +328,8 @@ def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
         return plain(*args)
 
     monkeypatch.setattr(engine, "extend_partition", counted)
-    state = initial_stage(grid_3x3())
+    net = grid_3x3()
+    state = initial_stage(net)
     expected = examined = 0
     for k, specs in enumerate(GRID_STAGES):
         final = k == len(GRID_STAGES) - 1
@@ -335,7 +337,15 @@ def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
         # Equal partitions are interned: one object per distinct value.
         assert len({id(r.partition) for r in state.infeasible}) == len(distinct)
         combos = (1 << len(specs)) - final
-        expected += len(distinct) * combos
+        if final:
+            # The final stage extends each distinct projection onto the
+            # terminals and the batch's endpoints, and those are fewer.
+            keep = {net.source, net.sink}.union(*((u, v) for u, v, _ in specs))
+            projections = {project_partition(p, frozenset(keep)) for p in distinct}
+            assert len(projections) * combos < len(distinct) * combos
+            expected += len(projections) * combos
+        else:
+            expected += len(distinct) * combos
         state, result = run_expansion(state, Expansion.for_network(state.network, specs), final)
         assert result.partitions_extended == len(distinct)
         examined += result.vectors_generated
