@@ -31,11 +31,10 @@ from increl.model import (
     ParseError,
     concat_bits,
     extend_network,
-    induced_arcs,
     vector_probability,
 )
-from increl.netfile import parse_expansion_specs, parse_network, serialize_network
-from increl.oracle import brute_force_feasible_set, brute_force_reliability
+from increl.netfile import parse_expansion_specs, parse_network
+from increl.oracle import brute_force_reliability
 
 __version__ = "0.1.0"
 
@@ -54,7 +53,6 @@ __all__ = [
     "Retained",
     "StageResult",
     "TraceRow",
-    "brute_force_feasible_set",
     "brute_force_reliability",
     "concat_bits",
     "counting_vectors",
@@ -62,7 +60,6 @@ __all__ = [
     "extend_partition",
     "extend_partition_detail",
     "full_enumeration_counts",
-    "induced_arcs",
     "initial_stage",
     "is_connected",
     "layered_search",
@@ -72,7 +69,6 @@ __all__ = [
     "project_partition",
     "run",
     "run_expansion",
-    "serialize_network",
     "vector_probability",
     "__version__",
 ]

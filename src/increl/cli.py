@@ -163,14 +163,6 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
-    net = parse_network(_read(args.network))
-    results = run(net, [])
-    naive = full_enumeration_counts(net, [])
-    sys.stdout.write(build_run_report(results, naive, [r.elapsed_s for r in results]))
-    return 0
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network))
     stage_specs = [parse_expansion_specs(_read(path)) for path in args.expansions]
@@ -210,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="reliability of a network as-is")
     p_compute.add_argument("network", help="NET file")
-    p_compute.set_defaults(func=cmd_compute)
+    p_compute.set_defaults(func=cmd_run, expansions=[], trace=None, naive=False, format="human")
 
     p_run = sub.add_parser("run", help="staged reliability with growth batches")
     p_run.add_argument("network", help="NET file")

@@ -174,7 +174,9 @@ def extend_partition_detail(
 
     Used by tracing: when the sides merge, the returned partition shows
     the state at the moment of the merge, with source and sink fields
-    holding the same merged set.
+    holding the same merged set. For a disconnected `partition` the
+    flag is True exactly when the returned sides are one object, so
+    `part.source_side is part.sink_side` alone tells a merge.
     """
     connected, part = _extend(partition, selected, expansion, want_partition=True)
     assert part is not None

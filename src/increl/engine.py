@@ -11,19 +11,21 @@ retained and the all-zero combination is skipped outright, since a
 disconnected graph gains nothing from zero new arcs.
 
 What a combination does to a vector depends only on the vector's
-partition, and many retained vectors share one. So each stage updates
-every distinct parent partition once per combination and reuses the
-outcomes for every vector holding it; partitions are interned by value,
-so equal ones are one object. The vectors themselves are still visited
-one by one, in the same order, so counts, traces and sums are those of
-the plain per-vector loop.
+partition, and many retained vectors share one. So each stage runs one
+loop over the retained vectors with one memo keyed on the parent
+partition: every distinct partition is updated once per combination,
+and every vector holding it reuses the outcomes; partitions are
+interned by value, so equal ones are one object. The vectors
+themselves are still visited one by one, in the same order, so counts,
+traces and sums are those of the plain per-vector loop.
 
 An untraced final stage only has to know which combinations connect
 the terminals, and that depends only on the partition projected onto
-the terminals and the batch's endpoints. It updates each distinct
-projection once per combination, and then each retained vector visits
-only the combinations that connect it: distinct projections x
-combinations partition updates plus retained + feasible vector steps.
+the terminals and the batch's endpoints. Its memo entry is those
+combinations, computed once per distinct projection, so each retained
+vector visits only the combinations that connect it: distinct
+projections x combinations partition updates plus retained + feasible
+vector steps.
 
 Reliability is accumulated with compensated summation in a fixed
 order, so identical inputs produce bit-identical results. The cyclic
@@ -104,12 +106,11 @@ class EngineState:
 class StageResult:
     """Per-stage report row: reliability, work counters and wall time.
 
-    `partitions_extended` counts the parent partitions the stage ran its
-    combinations against: each distinct one once, or every retained
-    vector's for a batch too wide to memoise. An untraced final stage
-    runs them against the partitions' projections, fewer still, but
-    counts the distinct parent partitions all the same. It is 0 at
-    stage 0.
+    `partitions_extended` is the size of the stage's memo: the distinct
+    parent partitions, or every retained vector's for a batch too wide
+    to memoise. An untraced final stage runs its combinations against
+    the partitions' projections, fewer still, but counts the distinct
+    parent partitions all the same. It is 0 at stage 0.
     """
 
     stage_index: int
@@ -165,45 +166,27 @@ def _outcomes(
     expansion: Expansion,
     final: bool,
     traced: bool,
-    memoise: bool,
+    memoised: bool,
     interned: dict[NodePartition, NodePartition],
 ):
     """Yield what each of the stage's combinations makes of one partition.
 
-    Traced stages yield `(connected, partition)` for the trace row.
-    Otherwise an outcome is None when the terminals connect, else the
-    child partition, or False on a final stage, where it would never
-    be used. Partitions the stage keeps, in its memo or its retained
+    An outcome is None when the terminals connect, else the child
+    partition. A traced stage always gets `extend_partition_detail`'s
+    partition, which connects exactly when its two sides are one
+    object. Partitions the stage keeps, in its memo or its retained
     set, are interned.
     """
     for combo in combos:
         if traced:
-            connected, part = extend_partition_detail(partition, combo, expansion)
-            if memoise or not (connected or final):
-                part = interned.setdefault(part, part)
-            yield connected, part
+            part = extend_partition_detail(partition, combo, expansion)[1]
+            connected = part.source_side is part.sink_side
         else:
             part = extend_partition(partition, combo, expansion)
-            if part is None:
-                yield None
-            else:
-                yield False if final else interned.setdefault(part, part)
-
-
-def _memo_entry(outcomes, traced: bool) -> tuple:
-    """Materialise one partition's outcomes for the stage memo.
-
-    A traced entry is two tuples, the connected flags and the
-    partitions, rather than a pair per combination: the flags are the
-    shared True and False, so the memo holds no object per combination.
-    """
-    if not traced:
-        return tuple(outcomes)
-    flags, parts = [], []
-    for connected, part in outcomes:
-        flags.append(connected)
-        parts.append(part)
-    return tuple(flags), tuple(parts)
+            connected = part is None
+        if memoised and part is not None or not (connected or final):
+            part = interned.setdefault(part, part)
+        yield part
 
 
 def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -213,44 +196,6 @@ def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
     else:
         comp += (x - t) + total
     return t, comp
-
-
-def _connecting_sum(
-    infeasible: Sequence[Retained],
-    expansion: Expansion,
-    combos: tuple[Bits, ...],
-    new_net: Network,
-    total: float,
-    comp: float,
-) -> tuple[float, float, int]:
-    """Fold a final, untraced, memoised stage into the reliability sum.
-
-    Whether a combination connects the terminals depends only on the
-    parent partition projected onto the terminals and the batch's
-    endpoints, and many partitions share a projection. So each distinct
-    projection is extended once per combination, and each retained
-    vector then visits only the combinations that connect it, in
-    counting order: the same terms, added in the same order, as the
-    per-vector loop. Returns the sum, its compensation and the number
-    of distinct parent partitions.
-    """
-    keep = frozenset((new_net.source, new_net.sink)).union(*expansion.arcs)
-    by_parent: dict[NodePartition, tuple[Bits, ...]] = {}
-    by_projection: dict[NodePartition, tuple[Bits, ...]] = {}
-    for item in infeasible:
-        hits = by_parent.get(item.partition)
-        if hits is None:
-            projected = project_partition(item.partition, keep)
-            hits = by_projection.get(projected)
-            if hits is None:
-                hits = by_projection[projected] = tuple(
-                    c for c in combos if extend_partition(projected, c, expansion) is None
-                )
-            by_parent[item.partition] = hits
-        for combo in hits:
-            x = vector_probability(item.bits + combo, new_net)
-            total, comp = _neumaier_add(total, comp, x)
-    return total, comp, len(by_parent)
 
 
 def initial_stage(
@@ -313,18 +258,18 @@ def run_expansion(
     infeasible ones form the next retained set, or are dropped
     entirely on the final stage.
 
-    The partition update runs once per distinct parent partition and
-    combination: its outcomes are memoised for the stage, keyed on the
-    partition by value, and every retained vector holding that
-    partition reuses them. A final stage without a trace goes further:
-    it runs the combinations once per distinct projection of the parent
-    partitions onto the batch's endpoints and the terminals, and each
-    vector visits only the combinations that connect it. The
-    combinations themselves are built once for the stage and dropped
-    with it. Batches wider than `_COMBO_CACHE_WIDTH` arcs are streamed
-    and not memoised, so memory stays flat. The connectivity and
-    probability calls go through this module's globals so
-    instrumentation can rebind them.
+    One loop visits the retained vectors in order, and one memo, keyed
+    on the parent partition, holds a tuple per distinct partition:
+    each combination's outcome, or on an untraced final stage the
+    combinations that connect the terminals. Those depend only on the
+    partition projected onto the batch's endpoints and the terminals,
+    so they are computed once per distinct projection, and each vector
+    visits only the combinations that connect it. The combinations
+    themselves are built once for the stage and dropped with it.
+    Batches wider than `_COMBO_CACHE_WIDTH` arcs are streamed and not
+    memoised, so memory stays flat. The connectivity and probability
+    calls go through this module's globals so instrumentation can
+    rebind them.
     """
     start = time.perf_counter()
     if state.finalized:
@@ -339,61 +284,64 @@ def run_expansion(
 
     total, comp = state.reliability_sum, state.reliability_comp
     retained: list[Retained] = []
-    generated = 0
     traced = trace is not None
-    memoise = width <= _COMBO_CACHE_WIDTH
+    memoised = width <= _COMBO_CACHE_WIDTH
+    projected = final and memoised and not traced
+    keep = frozenset((new_net.source, new_net.sink)).union(*expansion.arcs)
     # None for a streamed batch, which enumerates afresh for each use.
-    combos = tuple(counting_vectors(width, skip_zero=final)) if memoise else None
+    combos = tuple(counting_vectors(width, skip_zero=final)) if memoised else None
     memo: dict[NodePartition, tuple] = {}
+    by_projection: dict[NodePartition, tuple[Bits, ...]] = {}
     interned: dict[NodePartition, NodePartition] = {}
-    partitions_extended = 0
+    index = 0
     with _gc_paused():
-        if final and memoise and not traced:
-            total, comp, partitions_extended = _connecting_sum(
-                state.infeasible, expansion, combos, new_net, total, comp
-            )
-            generated = len(state.infeasible) * len(combos)
-        else:
-            for item in state.infeasible:
-                outcomes = memo.get(item.partition)
-                if outcomes is None:
-                    partitions_extended += 1
-                    outcomes = _outcomes(
+        for item in state.infeasible:
+            entry = memo.get(item.partition)
+            if entry is None:
+                if projected:
+                    shape = project_partition(item.partition, keep)
+                    entry = by_projection.get(shape)
+                    if entry is None:
+                        entry = by_projection[shape] = tuple(
+                            c for c in combos if extend_partition(shape, c, expansion) is None
+                        )
+                else:
+                    entry = _outcomes(
                         item.partition,
                         combos or counting_vectors(width, skip_zero=final),
                         expansion,
                         final,
                         traced,
-                        memoise,
+                        memoised,
                         interned,
                     )
-                    if memoise:
-                        outcomes = memo[item.partition] = _memo_entry(outcomes, traced)
-                if traced and memoise:
-                    outcomes = zip(*outcomes)
-                for combo, outcome in zip(
-                    combos or counting_vectors(width, skip_zero=final), outcomes
-                ):
-                    generated += 1
-                    extended = item.bits + combo
-                    if traced:
-                        connected, part = outcome
-                        trace(TraceRow(stage, item.index, generated, extended, part, connected))
-                    else:
-                        connected, part = outcome is None, outcome
-                    if connected:
-                        x = vector_probability(extended, new_net)
-                        total, comp = _neumaier_add(total, comp, x)
-                    elif not final:
-                        retained.append(Retained(extended, part, generated))
-                        if len(retained) > max_retained:
-                            raise CapExceededError(
-                                f"retained set exceeds cap of {max_retained} vectors"
-                            )
+                if memoised:
+                    entry = memo[item.partition] = tuple(entry)
+            if projected:
+                for combo in entry:
+                    x = vector_probability(item.bits + combo, new_net)
+                    total, comp = _neumaier_add(total, comp, x)
+                continue
+            for combo, part in zip(combos or counting_vectors(width, skip_zero=final), entry):
+                index += 1
+                extended = item.bits + combo
+                connected = part is None or part.source_side is part.sink_side
+                if traced:
+                    trace(TraceRow(stage, item.index, index, extended, part, connected))
+                if connected:
+                    x = vector_probability(extended, new_net)
+                    total, comp = _neumaier_add(total, comp, x)
+                elif not final:
+                    retained.append(Retained(extended, part, index))
+                    if len(retained) > max_retained:
+                        raise CapExceededError(
+                            f"retained set exceeds cap of {max_retained} vectors"
+                        )
 
+    partitions_extended = len(memo) if memoised else len(state.infeasible)
     # Free the stage's tables before the retained tuple is built: that
     # moment sets the peak memory of a large non-final stage.
-    del memo, interned
+    del memo, by_projection, interned
     new_state = EngineState(
         network=new_net,
         stage_index=stage,
@@ -407,7 +355,7 @@ def run_expansion(
         arc_count=new_net.arc_count,
         reliability=new_state.reliability,
         infeasible_count=len(retained),
-        vectors_generated=generated,
+        vectors_generated=len(state.infeasible) * ((1 << width) - final),
         elapsed_s=time.perf_counter() - start,
         partitions_extended=partitions_extended,
     )
@@ -454,9 +402,7 @@ def run(
     return results
 
 
-def full_enumeration_counts(
-    net: Network, stages: Sequence[Iterable[ArcSpec] | Expansion]
-) -> list[int]:
+def full_enumeration_counts(net: Network, stages: Sequence[Iterable[ArcSpec]]) -> list[int]:
     """Vector counts a from-scratch enumeration would need per stage.
 
     The baseline column of the comparison report: 2**m for each
@@ -464,9 +410,8 @@ def full_enumeration_counts(
     """
     counts = []
     m = net.arc_count
-    for batch in [None, *stages]:
-        if batch is not None:
-            m += batch.arc_count if isinstance(batch, Expansion) else len(tuple(batch))
+    for batch in [(), *stages]:
+        m += len(tuple(batch))
         if m > 62:
             raise CapExceededError(f"2**{m} exceeds the counter range")
         counts.append(1 << m)

@@ -182,13 +182,3 @@ def concat_bits(head: Sequence[int], tail: Sequence[int]) -> Bits:
     """
     return tuple(head) + tuple(tail)
 
-
-def induced_arcs(net: Network, bits: Sequence[int]) -> list[tuple[int, int, int]]:
-    """The working arcs selected by a vector, as (arc id, u, v) triples."""
-    if len(bits) != len(net.arcs):
-        raise ValueError(
-            f"vector covers {len(bits)} arcs but the network has {len(net.arcs)}"
-        )
-    return [
-        (k + 1, u, v) for k, ((u, v), bit) in enumerate(zip(net.arcs, bits)) if bit
-    ]

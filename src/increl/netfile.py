@@ -1,4 +1,4 @@
-"""Parsing and serialization of the NET and INC text formats.
+"""Parsing of the NET and INC text formats.
 
 NET (a whole network)::
 
@@ -105,18 +105,3 @@ def parse_expansion_specs(text: str) -> tuple[ArcSpec, ...]:
         raise ParseError("expansion file contains no arcs")
     return tuple(specs)
 
-
-def serialize_network(net: Network) -> str:
-    """Render a network back to NET text; parsing the result restores it.
-
-    Only networks expressible in the format qualify: node ids 1..n with
-    source 1 and sink n.
-    """
-    n = max(net.nodes)
-    if net.nodes != frozenset(range(1, n + 1)) or net.source != 1 or net.sink != n:
-        raise ValueError("network is not representable in the NET format")
-    lines = [f"nodes {n}"]
-    lines += [
-        f"arc {u} {v} {p!r}" for (u, v), p in zip(net.arcs, net.probabilities)
-    ]
-    return "\n".join(lines) + "\n"

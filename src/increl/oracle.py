@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from increl.model import Bits, CapExceededError, Network
+from increl.model import CapExceededError, Network
 
 
 def _mask_connects(net: Network, mask: int) -> bool:
@@ -40,30 +40,13 @@ def _mask_probability(net: Network, mask: int) -> float:
     return result
 
 
-def _check_cap(net: Network, max_arcs: int) -> None:
-    if net.arc_count > max_arcs:
-        raise CapExceededError(
-            f"network has {net.arc_count} arcs, brute force capped at {max_arcs}"
-        )
-
-
 def brute_force_reliability(net: Network, max_arcs: int = 24) -> float:
     """Sum the probabilities of every arc state that connects the terminals."""
-    _check_cap(net, max_arcs)
     m = net.arc_count
+    if m > max_arcs:
+        raise CapExceededError(f"network has {m} arcs, brute force capped at {max_arcs}")
     return math.fsum(
         _mask_probability(net, mask)
         for mask in range(1 << m)
         if _mask_connects(net, mask)
     )
-
-
-def brute_force_feasible_set(net: Network, max_arcs: int = 24) -> set[Bits]:
-    """Every feasible state vector; the complement is the infeasible set."""
-    _check_cap(net, max_arcs)
-    m = net.arc_count
-    return {
-        tuple(mask >> k & 1 for k in range(m))
-        for mask in range(1 << m)
-        if _mask_connects(net, mask)
-    }

@@ -311,3 +311,17 @@ def test_projection_onto_batch_endpoints_decides_connectivity(seed):
             assert (extend_partition(projected, combo, expansion) is None) == (
                 extend_partition(part, combo, expansion) is None
             )
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_extend_detail_connects_exactly_when_its_sides_are_one_object(seed):
+    net, stages = random_scenario(random.Random(seed))
+    state = initial_stage(net)
+    for k, specs in enumerate(stages):
+        expansion = Expansion.for_network(state.network, specs)
+        for part in {r.partition for r in state.infeasible}:
+            for combo in counting_vectors(expansion.arc_count):
+                connected, child = extend_partition_detail(part, combo, expansion)
+                assert connected == (child.source_side is child.sink_side)
+        state, _ = run_expansion(state, expansion, final=k == len(stages) - 1)

@@ -1,5 +1,6 @@
 """Staged engine: stage 0, extensions, conservation, caps, traces."""
 
+import collections
 import dataclasses
 import gc
 import math
@@ -296,13 +297,21 @@ def _retained(state):
     return [(r.bits, r.index, r.partition) for r in state.infeasible]
 
 
+_SMALL_CASES = [("bridge", bridge(0.9), bridge_stages())] + [
+    (f"random-{seed}", *random_scenario(random.Random(seed))) for seed in range(12)
+]
+
+
 @pytest.mark.parametrize(
-    "net, stages",
-    [(bridge(0.9), bridge_stages()), (grid_3x3(), GRID_STAGES)]
-    + [random_scenario(random.Random(seed)) for seed in range(12)],
-    ids=["bridge", "grid-3x3"] + [f"random-{seed}" for seed in range(12)],
+    "net, stages, streamed",
+    [pytest.param(net, stages, False, id=name) for name, net, stages in _SMALL_CASES]
+    + [pytest.param(grid_3x3(), GRID_STAGES, False, id="grid-3x3")]
+    + [pytest.param(net, stages, True, id=f"{name}-streamed") for name, net, stages in _SMALL_CASES],
 )
-def test_run_expansion_matches_per_vector_reference(net, stages):
+def test_run_expansion_matches_per_vector_reference(net, stages, streamed, monkeypatch):
+    if streamed:
+        # Every batch is wider than the cache: no memo, no projection.
+        monkeypatch.setattr(engine, "_COMBO_CACHE_WIDTH", 0)
     state = initial_stage(net)
     for k, specs in enumerate(stages):
         final = k == len(stages) - 1
@@ -310,24 +319,31 @@ def test_run_expansion_matches_per_vector_reference(net, stages):
         reliability, retained, rows = _reference_expansion(state, expansion, final)
         traced_rows = []
         traced, _ = run_expansion(state, expansion, final, trace=traced_rows.append)
+        parent_count = len(state.infeasible)
         state, result = run_expansion(state, expansion, final)
         assert traced_rows == rows
         assert result.vectors_generated == len(rows)
+        if streamed:
+            assert result.partitions_extended == parent_count
         for got in (state, traced):
             assert got.reliability.hex() == reliability
             assert _retained(got) == retained
 
 
 def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
-    calls = 0
-    plain = engine.extend_partition
+    calls = collections.Counter()
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return plain(*args)
+    def counting(name):
+        plain = getattr(engine, name)
 
-    monkeypatch.setattr(engine, "extend_partition", counted)
+        def counted(*args):
+            calls[name] += 1
+            return plain(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+
+    counting("extend_partition")
+    counting("extend_partition_detail")
     net = grid_3x3()
     state = initial_stage(net)
     expected = examined = 0
@@ -346,11 +362,18 @@ def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
             expected += len(projections) * combos
         else:
             expected += len(distinct) * combos
-        state, result = run_expansion(state, Expansion.for_network(state.network, specs), final)
+        expansion = Expansion.for_network(state.network, specs)
+        # A traced stage memoises too: once per distinct partition and combination.
+        traced_before = calls["extend_partition_detail"]
+        _, traced = run_expansion(state, expansion, final, trace=lambda row: None)
+        assert calls["extend_partition_detail"] - traced_before == len(distinct) * combos
+        assert traced.partitions_extended == len(distinct)
+        state, result = run_expansion(state, expansion, final)
         assert result.partitions_extended == len(distinct)
         examined += result.vectors_generated
-    assert calls == expected
-    assert calls < examined
+    assert calls["extend_partition"] == expected
+    assert calls["extend_partition"] < examined
+    assert calls["extend_partition_detail"] < examined
 
 
 def test_streamed_batch_matches_the_same_arcs_split_in_two():

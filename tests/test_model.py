@@ -12,7 +12,6 @@ from increl import (
     Network,
     concat_bits,
     extend_network,
-    induced_arcs,
     vector_probability,
 )
 from helpers import bridge
@@ -106,12 +105,6 @@ def test_concat_probability_is_product():
             vector_probability(head, net) * vector_probability(tail, tail_net),
             abs=1e-15,
         )
-
-
-def test_induced_arcs_selects_exactly_set_bits():
-    net = bridge()
-    assert induced_arcs(net, (1, 1, 1, 0, 0)) == [(1, 1, 2), (2, 1, 3), (3, 2, 3)]
-    assert induced_arcs(net, (0, 0, 0, 0, 0)) == []
 
 
 def test_expansion_rejects_parallel_against_network():

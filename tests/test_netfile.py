@@ -1,17 +1,8 @@
-"""NET/INC parsing, validation errors, and round-tripping."""
-
-import random
+"""NET/INC parsing and validation errors."""
 
 import pytest
 
-from increl import (
-    Expansion,
-    ParseError,
-    parse_expansion_specs,
-    parse_network,
-    serialize_network,
-)
-from increl.model import Network
+from increl import Expansion, ParseError, parse_expansion_specs, parse_network
 from helpers import FIXTURE_DIR, VALIDATION_CASES
 
 BRIDGE_TEXT = (FIXTURE_DIR / "bridge.net").read_text()
@@ -100,25 +91,3 @@ def test_expansion_specs_parse_and_reject_duplicates():
     with pytest.raises(ParseError, match="no arcs"):
         parse_expansion_specs("# empty\n")
 
-
-def test_round_trip_identity():
-    rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(2, 7)
-        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-        rng.shuffle(pairs)
-        arcs = tuple(pairs[: rng.randint(0, len(pairs))])
-        net = Network(
-            nodes=frozenset(range(1, n + 1)),
-            arcs=arcs,
-            probabilities=tuple(rng.random() for _ in arcs),
-            source=1,
-            sink=n,
-        )
-        assert parse_network(serialize_network(net)) == net
-
-
-def test_serialize_rejects_non_canonical_networks():
-    grown = Network(frozenset({1, 2, 3}), ((1, 3),), (0.5,), 1, 2)
-    with pytest.raises(ValueError, match="not representable"):
-        serialize_network(grown)

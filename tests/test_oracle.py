@@ -2,7 +2,7 @@
 
 import pytest
 
-from increl import CapExceededError, Network, brute_force_feasible_set, brute_force_reliability
+from increl import CapExceededError, Network, brute_force_reliability
 from helpers import bridge
 
 
@@ -21,7 +21,6 @@ def test_bridge_reliability_matches_closed_form():
 def test_single_arc():
     net = Network(frozenset({1, 2}), ((1, 2),), (0.7,), 1, 2)
     assert brute_force_reliability(net) == pytest.approx(0.7, abs=1e-15)
-    assert brute_force_feasible_set(net) == {(1,)}
 
 
 def test_dead_sink_arcs_give_zero():
@@ -35,39 +34,15 @@ def test_dead_sink_arcs_give_zero():
     assert brute_force_reliability(net) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_bridge_feasible_set_and_infeasible_indices():
-    feasible = brute_force_feasible_set(bridge())
-    assert len(feasible) == 16
-    # Position of a vector in counting order, reading coordinate 1 as
-    # the least significant bit.
-    def order_index(bits):
-        return 1 + sum(bit << k for k, bit in enumerate(bits))
-
-    infeasible_indices = {
-        order_index(tuple(mask >> k & 1 for k in range(5)))
-        for mask in range(32)
-        if tuple(mask >> k & 1 for k in range(5)) not in feasible
-    }
-    assert infeasible_indices == {1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 17, 18, 21, 25, 29}
-
-
 def test_edgeless_network():
     net = Network(frozenset({1, 2, 3}), (), (), 1, 3)
-    assert brute_force_feasible_set(net) == set()
     assert brute_force_reliability(net) == 0.0
 
 
 def test_triangle_feasibility():
     net = Network(frozenset({1, 2, 3}), ((1, 2), (1, 3), (2, 3)), (0.5,) * 3, 1, 3)
-    feasible = brute_force_feasible_set(net)
-    # Direct arc 1-3, or the two-arc path 1-2-3.
-    assert feasible == {
-        (0, 1, 0),
-        (1, 1, 0),
-        (0, 1, 1),
-        (1, 1, 1),
-        (1, 0, 1),
-    }
+    # Direct arc 1-3, or the two-arc path 1-2-3: 5 of the 8 equally likely states.
+    assert brute_force_reliability(net) == 5 / 8
 
 
 def test_cap_guard():
@@ -75,5 +50,3 @@ def test_cap_guard():
     net = Network(frozenset(range(1, 9)), tuple(pairs), (0.5,) * 25, 1, 8)
     with pytest.raises(CapExceededError):
         brute_force_reliability(net)
-    with pytest.raises(CapExceededError):
-        brute_force_feasible_set(net)
