@@ -31,6 +31,7 @@ from increl.model import (
     ParseError,
     concat_bits,
     extend_network,
+    mask_bits,
     vector_probability,
 )
 from increl.netfile import parse_expansion_specs, parse_network
@@ -63,6 +64,7 @@ __all__ = [
     "initial_stage",
     "is_connected",
     "layered_search",
+    "mask_bits",
     "parse_expansion_specs",
     "parse_network",
     "partition_nodes",

@@ -10,6 +10,14 @@ vectors replace the old set wholesale. On the final stage nothing is
 retained and the all-zero combination is skipped outright, since a
 disconnected graph gains nothing from zero new arcs.
 
+A retained vector is stored as an int mask, bit k holding the state of
+arc k+1, together with its probability. An extension ORs the
+combination's bits, shifted past the existing arcs, into the mask and
+multiplies the parent's probability by the new arcs' factors in arc
+order. That is the order `vector_probability` multiplies in, so the
+product is bit-identical to recomputing it over the whole vector, and
+no stage after the first rebuilds a vector or its probability.
+
 What a combination does to a vector depends only on the vector's
 partition, and many retained vectors share one. So each stage runs one
 loop over the retained vectors with one memo keyed on the parent
@@ -30,16 +38,21 @@ vector steps.
 Reliability is accumulated with compensated summation in a fixed
 order, so identical inputs produce bit-identical results. The cyclic
 garbage collector is paused inside the stage loops: they allocate
-millions of small objects and form no cycles.
+millions of small objects and form no cycles. The `increl` logger
+gets one debug line per stage.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import tee
+from math import prod
+from operator import getitem
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from increl.connectivity import (
     NodePartition,
@@ -58,6 +71,7 @@ from increl.model import (
     ExpansionError,
     Network,
     extend_network,
+    mask_bits,
     vector_probability,
 )
 
@@ -65,19 +79,22 @@ DEFAULT_MAX_ARCS = 30
 DEFAULT_MAX_RETAINED = 1 << 26
 _MAX_EXPANSION_ARCS = 26
 
-
 @dataclass(frozen=True, slots=True)
 class Retained:
     """An infeasible vector carried forward to the next stage.
 
-    `index` is the vector's 1-based generation index within the stage
-    that produced it, kept so traces can name the parent of each
-    extension.
+    `mask` holds the vector's arc states, bit k for arc k+1 (so a
+    stage-0 vector's mask is its generation index minus one);
+    `mask_bits(mask, arc_count)` decodes it. `probability` is
+    `vector_probability` of that vector, to the last bit. `index` is
+    the vector's 1-based generation index within the stage that
+    produced it, kept so traces can name the parent of each extension.
     """
 
-    bits: Bits
+    mask: int
     partition: NodePartition
     index: int
+    probability: float
 
 
 @dataclass(frozen=True)
@@ -147,6 +164,10 @@ TraceFn = Callable[[TraceRow], None]
 # a wider batch is streamed to keep memory flat.
 _COMBO_CACHE_WIDTH = 16
 
+# One combination of a batch: its bits, its mask shifted past the
+# existing arcs, and its arcs' probability factors in arc order.
+_Row = tuple[Bits, int, tuple[float, ...]]
+
 
 @contextmanager
 def _gc_paused():
@@ -160,16 +181,29 @@ def _gc_paused():
             gc.enable()
 
 
+def _rows(expansion: Expansion, shift: int, final: bool) -> Iterator[_Row]:
+    """Yield one row per combination of the batch's arcs, in counting order.
+
+    The k-th combination's mask is k shifted past the `shift` existing
+    arcs; its factors are p for a working arc and 1 - p for a failed
+    one, the values `vector_probability` multiplies by.
+    """
+    choices = tuple((1.0 - p, p) for p in expansion.probabilities)
+    combos = counting_vectors(expansion.arc_count, skip_zero=final)
+    for k, combo in enumerate(combos, start=final):
+        yield combo, k << shift, tuple(map(getitem, choices, combo))
+
+
 def _outcomes(
     partition: NodePartition,
-    combos: Iterable[Bits],
+    rows: Iterable[_Row],
     expansion: Expansion,
     final: bool,
     traced: bool,
     memoised: bool,
     interned: dict[NodePartition, NodePartition],
 ):
-    """Yield what each of the stage's combinations makes of one partition.
+    """Yield what each row's combination makes of one partition.
 
     An outcome is None when the terminals connect, else the child
     partition. A traced stage always gets `extend_partition_detail`'s
@@ -177,7 +211,7 @@ def _outcomes(
     object. Partitions the stage keeps, in its memo or its retained
     set, are interned.
     """
-    for combo in combos:
+    for combo, _, _ in rows:
         if traced:
             part = extend_partition_detail(partition, combo, expansion)[1]
             connected = part.source_side is part.sink_side
@@ -187,6 +221,27 @@ def _outcomes(
         if memoised and part is not None or not (connected or final):
             part = interned.setdefault(part, part)
         yield part
+
+
+def _log_stage(
+    stage: int, examined: int, retained: int, partitions_extended: int, elapsed_s: float
+) -> None:
+    """Emit one debug line for a stage on the `increl` logger.
+
+    Importing `logging` adds several milliseconds to every start-up, so
+    the engine leaves it to the program: one that has not imported it
+    has configured no handler that would show a debug record.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("increl").debug(
+            "stage %d: examined %d, retained %d, partitions extended %d, %.3f s",
+            stage,
+            examined,
+            retained,
+            partitions_extended,
+            elapsed_s,
+        )
 
 
 def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -208,9 +263,11 @@ def initial_stage(
 
     Visits all 2**m vectors in counting order with a single reused
     buffer; feasible vectors contribute their probability and are
-    dropped, infeasible ones are retained with their partitions. The
-    resulting reliability is exact for the original network.
+    dropped, infeasible ones are retained with their partitions and
+    probabilities. The resulting reliability is exact for the original
+    network.
     """
+    start = time.perf_counter()
     m = net.arc_count
     if m < 1:
         raise ValueError("network has no arcs")
@@ -228,17 +285,19 @@ def initial_stage(
             index += 1
             part = partition_nodes(net, bits)
             connected = is_connected(part)
+            x = vector_probability(bits, net)
             if connected:
-                total, comp = _neumaier_add(total, comp, vector_probability(bits, net))
+                total, comp = _neumaier_add(total, comp, x)
             else:
                 part = interned.setdefault(part, part)
-                retained.append(Retained(tuple(bits), part, index))
+                retained.append(Retained(index - 1, part, index, x))
                 if len(retained) > max_retained:
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
             if trace is not None:
                 trace(TraceRow(0, index, index, tuple(bits), part, connected))
             if cursor.advance() is None:
                 break
+    _log_stage(0, index, len(retained), 0, time.perf_counter() - start)
     return EngineState(net, 0, total, comp, tuple(retained))
 
 
@@ -261,15 +320,18 @@ def run_expansion(
     One loop visits the retained vectors in order, and one memo, keyed
     on the parent partition, holds a tuple per distinct partition:
     each combination's outcome, or on an untraced final stage the
-    combinations that connect the terminals. Those depend only on the
-    partition projected onto the batch's endpoints and the terminals,
-    so they are computed once per distinct projection, and each vector
-    visits only the combinations that connect it. The combinations
-    themselves are built once for the stage and dropped with it.
-    Batches wider than `_COMBO_CACHE_WIDTH` arcs are streamed and not
-    memoised, so memory stays flat. The connectivity and probability
-    calls go through this module's globals so instrumentation can
-    rebind them.
+    factors of the combinations that connect the terminals. Those
+    depend only on the partition projected onto the batch's endpoints
+    and the terminals, so they are computed once per distinct
+    projection, and each vector visits only the combinations that
+    connect it. Each combination's row (bits, shifted mask and
+    probability factors) is built once for the stage and dropped with
+    it. Batches wider than `_COMBO_CACHE_WIDTH` arcs are streamed: each
+    vector enumerates the rows once, lazily, and nothing is memoised,
+    so memory stays flat. A probability is computed only where it is
+    used, for a connected row or a row the stage retains. The
+    connectivity calls go through this module's globals so
+    instrumentation can rebind them.
     """
     start = time.perf_counter()
     if state.finalized:
@@ -281,58 +343,69 @@ def run_expansion(
         )
     new_net = extend_network(state.network, expansion)
     stage = state.stage_index + 1
+    shift = state.network.arc_count
 
     total, comp = state.reliability_sum, state.reliability_comp
     retained: list[Retained] = []
     traced = trace is not None
     memoised = width <= _COMBO_CACHE_WIDTH
-    projected = final and memoised and not traced
+    projected = final and not traced
     keep = frozenset((new_net.source, new_net.sink)).union(*expansion.arcs)
-    # None for a streamed batch, which enumerates afresh for each use.
-    combos = tuple(counting_vectors(width, skip_zero=final)) if memoised else None
+    # None for a streamed batch, which enumerates afresh for each vector.
+    rows = tuple(_rows(expansion, shift, final)) if memoised else None
     memo: dict[NodePartition, tuple] = {}
-    by_projection: dict[NodePartition, tuple[Bits, ...]] = {}
+    by_projection: dict[NodePartition, tuple[tuple[float, ...], ...]] = {}
     interned: dict[NodePartition, NodePartition] = {}
     index = 0
     with _gc_paused():
         for item in state.infeasible:
+            probability = item.probability
             entry = memo.get(item.partition)
-            if entry is None:
-                if projected:
+            if projected:
+                if entry is None:
                     shape = project_partition(item.partition, keep)
                     entry = by_projection.get(shape)
                     if entry is None:
-                        entry = by_projection[shape] = tuple(
-                            c for c in combos if extend_partition(shape, c, expansion) is None
+                        entry = (
+                            factors
+                            for combo, _, factors in rows or _rows(expansion, shift, final)
+                            if extend_partition(shape, combo, expansion) is None
                         )
-                else:
-                    entry = _outcomes(
-                        item.partition,
-                        combos or counting_vectors(width, skip_zero=final),
-                        expansion,
-                        final,
-                        traced,
-                        memoised,
-                        interned,
-                    )
-                if memoised:
-                    entry = memo[item.partition] = tuple(entry)
-            if projected:
-                for combo in entry:
-                    x = vector_probability(item.bits + combo, new_net)
+                        if memoised:
+                            entry = by_projection[shape] = tuple(entry)
+                    if memoised:
+                        memo[item.partition] = entry
+                for factors in entry:
+                    x = prod(factors, start=probability)
                     total, comp = _neumaier_add(total, comp, x)
                 continue
-            for combo, part in zip(combos or counting_vectors(width, skip_zero=final), entry):
+            if memoised:
+                if entry is None:
+                    outcomes = _outcomes(
+                        item.partition, rows, expansion, final, traced, memoised, interned
+                    )
+                    entry = memo[item.partition] = tuple(outcomes)
+                pairs = zip(rows, entry)
+            else:
+                # One lazy stream of rows, shared by the outcomes and the loop.
+                stream, ahead = tee(_rows(expansion, shift, final))
+                pairs = zip(
+                    stream,
+                    _outcomes(item.partition, ahead, expansion, final, traced, memoised, interned),
+                )
+            if traced:
+                head = mask_bits(item.mask, shift)
+            for (combo, mask, factors), part in pairs:
                 index += 1
-                extended = item.bits + combo
                 connected = part is None or part.source_side is part.sink_side
                 if traced:
-                    trace(TraceRow(stage, item.index, index, extended, part, connected))
+                    trace(TraceRow(stage, item.index, index, head + combo, part, connected))
                 if connected:
-                    x = vector_probability(extended, new_net)
+                    x = prod(factors, start=probability)
                     total, comp = _neumaier_add(total, comp, x)
                 elif not final:
-                    retained.append(Retained(extended, part, index))
+                    x = prod(factors, start=probability)
+                    retained.append(Retained(item.mask | mask, part, index, x))
                     if len(retained) > max_retained:
                         raise CapExceededError(
                             f"retained set exceeds cap of {max_retained} vectors"
@@ -341,7 +414,7 @@ def run_expansion(
     partitions_extended = len(memo) if memoised else len(state.infeasible)
     # Free the stage's tables before the retained tuple is built: that
     # moment sets the peak memory of a large non-final stage.
-    del memo, by_projection, interned
+    del memo, by_projection, interned, rows
     new_state = EngineState(
         network=new_net,
         stage_index=stage,
@@ -358,6 +431,13 @@ def run_expansion(
         vectors_generated=len(state.infeasible) * ((1 << width) - final),
         elapsed_s=time.perf_counter() - start,
         partitions_extended=partitions_extended,
+    )
+    _log_stage(
+        stage,
+        result.vectors_generated,
+        result.infeasible_count,
+        partitions_extended,
+        result.elapsed_s,
     )
     return new_state, result
 

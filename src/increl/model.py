@@ -160,8 +160,10 @@ def extend_network(net: Network, expansion: Expansion) -> Network:
 def vector_probability(bits: Sequence[int], net: Network) -> float:
     """Probability of a full arc-state assignment.
 
-    Multiplies p over working arcs and 1-p over failed ones; the vector
-    must cover every arc of `net`.
+    Multiplies p over working arcs and 1-p over failed ones, from arc 1
+    up. The engine relies on that order: a prefix's probability times
+    the remaining arcs' factors, one at a time, is the same float. The
+    vector must cover every arc of `net`.
     """
     if len(bits) != len(net.probabilities):
         raise ValueError(
@@ -182,3 +184,15 @@ def concat_bits(head: Sequence[int], tail: Sequence[int]) -> Bits:
     """
     return tuple(head) + tuple(tail)
 
+
+# Maps the digits "0"/"1" to the bytes 0/1, whose tuple is a state vector.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def mask_bits(mask: int, width: int) -> Bits:
+    """Decode an int mask below 2**width into a state vector, bit k as arc k+1.
+
+    A sentinel bit above the top one keeps leading zeros in the `bin`
+    string; reversed and stripped of "0b1", it lists the bits from arc 1.
+    """
+    return tuple(bin(mask | 1 << width)[:2:-1].encode().translate(_DIGIT_BITS))

@@ -19,6 +19,7 @@ from increl import (
     initial_stage,
     is_connected,
     layered_search,
+    mask_bits,
     partition_nodes,
     run,
     run_expansion,
@@ -153,7 +154,9 @@ def scenario_suite():
             )
             if not stage_state.finalized:
                 held = math.fsum(
-                    vector_probability(r.bits, stage_state.network)
+                    vector_probability(
+                        mask_bits(r.mask, stage_state.network.arc_count), stage_state.network
+                    )
                     for r in stage_state.infeasible
                 )
                 residuals.append(abs(stage_state.reliability + held - 1.0))

@@ -3,11 +3,14 @@
 import collections
 import dataclasses
 import gc
+import logging
 import math
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from increl import (
     CapExceededError,
@@ -24,6 +27,8 @@ from increl import (
     extend_partition_detail,
     full_enumeration_counts,
     initial_stage,
+    mask_bits,
+    partition_nodes,
     project_partition,
     run,
     run_expansion,
@@ -51,7 +56,8 @@ def test_initial_stage_single_arc():
     net = Network(frozenset({1, 2}), ((1, 2),), (0.7,), 1, 2)
     state = initial_stage(net)
     assert state.reliability == pytest.approx(0.7, abs=1e-15)
-    assert [r.bits for r in state.infeasible] == [(0,)]
+    assert [mask_bits(r.mask, 1) for r in state.infeasible] == [(0,)]
+    assert [r.probability for r in state.infeasible] == [vector_probability((0,), net)]
 
 
 def test_initial_stage_rejects_arcless_network():
@@ -164,14 +170,20 @@ def test_run_matches_oracle_per_stage_on_bridge():
         )
 
 
+def _held(state):
+    """Probability mass of the retained vectors, recomputed from their masks."""
+    m = state.network.arc_count
+    return math.fsum(
+        vector_probability(mask_bits(r.mask, m), state.network) for r in state.infeasible
+    )
+
+
 def test_conservation_on_non_final_stages():
     state = initial_stage(bridge(0.9))
-    held = math.fsum(vector_probability(r.bits, state.network) for r in state.infeasible)
-    assert state.reliability + held == pytest.approx(1.0, abs=1e-12)
+    assert state.reliability + _held(state) == pytest.approx(1.0, abs=1e-12)
     expansion = Expansion.for_network(state.network, bridge_stages()[0])
     state, _ = run_expansion(state, expansion, final=False)
-    held = math.fsum(vector_probability(r.bits, state.network) for r in state.infeasible)
-    assert state.reliability + held == pytest.approx(1.0, abs=1e-12)
+    assert state.reliability + _held(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_determinism_bit_identical():
@@ -270,7 +282,8 @@ def _reference_expansion(state, expansion, final):
     """The plain per-vector loop: one partition update per examined vector.
 
     Returns the reliability as float hex, the retained vectors as
-    (bits, index, partition) and every vector's trace row.
+    (bits, index, partition, probability as float hex) and every
+    vector's trace row.
     """
     new_net = extend_network(state.network, expansion)
     stage = state.stage_index + 1
@@ -280,21 +293,25 @@ def _reference_expansion(state, expansion, final):
     for item in state.infeasible:
         for combo in counting_vectors(expansion.arc_count, skip_zero=final):
             generated += 1
-            extended = item.bits + combo
+            extended = mask_bits(item.mask, state.network.arc_count) + combo
             connected, part = extend_partition_detail(item.partition, combo, expansion)
             rows.append(TraceRow(stage, item.index, generated, extended, part, connected))
+            x = vector_probability(extended, new_net)
             if connected:
-                x = vector_probability(extended, new_net)
                 t = total + x
                 comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
                 total = t
             elif not final:
-                retained.append((extended, generated, part))
+                retained.append((extended, generated, part, x.hex()))
     return (total + comp).hex(), retained, rows
 
 
 def _retained(state):
-    return [(r.bits, r.index, r.partition) for r in state.infeasible]
+    m = state.network.arc_count
+    return [
+        (mask_bits(r.mask, m), r.index, r.partition, r.probability.hex())
+        for r in state.infeasible
+    ]
 
 
 _SMALL_CASES = [("bridge", bridge(0.9), bridge_stages())] + [
@@ -409,6 +426,61 @@ def test_a_dropped_stage_leaves_no_memory_held_by_the_engine():
         tracemalloc.stop()
     held = snapshot.filter_traces([tracemalloc.Filter(True, engine.__file__, all_frames=True)])
     assert sum(trace.size for trace in held.traces) < 64 << 10
+
+
+def test_a_retained_vector_costs_under_200_bytes_of_its_own():
+    state = initial_stage(grid_3x3())
+    state, _ = run_expansion(
+        state, Expansion.for_network(state.network, GRID_STAGES[0]), final=False
+    )
+    expansion = Expansion.for_network(state.network, GRID_STAGES[1])
+    # Stage 2, run non-final so that it retains, from the first 1,000 of
+    # stage 1's 11,373 vectors: every allocation is traced, which makes the
+    # full stage some ten times slower.
+    state = dataclasses.replace(state, infeasible=state.infeasible[:1000])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        grown, _ = run_expansion(state, expansion, final=False)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # Allocations made by the engine's own lines: each vector's object,
+    # mask, probability and index, and the retained tuple. Partitions are
+    # built in connectivity and interned, so they are shared, not counted.
+    own = snapshot.filter_traces([tracemalloc.Filter(True, engine.__file__)])
+    per_vector = sum(trace.size for trace in own.traces) / len(grown.infeasible)
+    assert len(grown.infeasible) > 5000
+    assert per_vector < 200
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_retained_masks_carry_exact_probabilities_and_partitions(seed):
+    net, stages = random_scenario(random.Random(seed))
+    state = initial_stage(net)
+    # Every batch runs non-final, so every stage retains vectors to check.
+    for specs in [(), *stages]:
+        if specs:
+            expansion = Expansion.for_network(state.network, specs)
+            state, _ = run_expansion(state, expansion, final=False)
+        m = state.network.arc_count
+        for r in state.infeasible:
+            bits = mask_bits(r.mask, m)
+            assert r.probability.hex() == vector_probability(bits, state.network).hex()
+            assert r.partition == partition_nodes(state.network, bits)
+
+
+def test_the_increl_logger_reports_each_stage_once(caplog):
+    caplog.set_level(logging.DEBUG, logger="increl")
+    run(bridge(0.9), bridge_stages())
+    lines = [r.getMessage() for r in caplog.records if r.name == "increl"]
+    assert len(lines) == 3
+    assert lines[0].startswith("stage 0: examined 32, retained 16, partitions extended 0, ")
+    assert lines[1].startswith("stage 1: examined 64, retained 58, partitions extended 10, ")
+    assert lines[2].startswith("stage 2: examined 58, retained 0, partitions extended 27, ")
+    assert all(line.endswith(" s") for line in lines)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

@@ -11,7 +11,9 @@ from increl import (
     ExpansionError,
     Network,
     concat_bits,
+    counting_vectors,
     extend_network,
+    mask_bits,
     vector_probability,
 )
 from helpers import bridge
@@ -104,6 +106,15 @@ def test_concat_probability_is_product():
         assert vector_probability(concat_bits(head, tail), grown) == pytest.approx(
             vector_probability(head, net) * vector_probability(tail, tail_net),
             abs=1e-15,
+        )
+
+
+def test_mask_bits_decodes_counting_order_with_arc_1_lowest():
+    assert mask_bits(0b1011, 6) == (1, 1, 0, 1, 0, 0)
+    assert mask_bits(0, 0) == ()
+    for width in range(1, 9):
+        assert [mask_bits(k, width) for k in range(1 << width)] == list(
+            counting_vectors(width)
         )
 
 
