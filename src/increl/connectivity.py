@@ -4,19 +4,23 @@ For every state vector the induced subgraph is summarized as a node
 partition: the component holding the source, the component holding the
 sink, and the remaining components. A vector is feasible exactly when
 source and sink share a component. Partitions of infeasible vectors are
-kept and updated in place when new arcs arrive, so later growth stages
-never search the full graph again.
+kept and updated when new arcs arrive, so later growth stages never
+search the full graph again.
 
 Middle components are stored individually rather than as one flat node
 set: an arriving arc that touches one node of a middle component must
 drag the whole component into whichever side it connects to, and only
-a per-component representation can express that.
+a per-component representation can express that. Components are
+immutable, so partitions share them: an update looks only at the
+components its selected arcs reach and builds a set only where it
+joins several, and every other component of the updated partition is
+the parent's own object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from increl.model import Expansion, ExpansionError, Network
 
@@ -34,15 +38,17 @@ class LayerTrace:
     connected: bool
 
 
-@dataclass(frozen=True)
-class NodePartition:
+class NodePartition(NamedTuple):
     """Connected components of an induced subgraph, split three ways.
 
     `source_side` is the component of the source, `sink_side` the
     component of the sink, and `middle` every remaining component,
     ordered by smallest member. When source and sink share a component
     both fields hold the same set (the same object, so the feasibility
-    test is an identity check in the common case).
+    test is an identity check in the common case). A named tuple, so
+    hashing and comparing one run in C and it holds no instance dict;
+    as a tuple it also compares equal to a plain tuple of its three
+    fields.
     """
 
     source_side: frozenset[int]
@@ -198,67 +204,69 @@ def _extend(
         # Connectivity is never lost by adding arcs.
         return True, (partition if want_partition else None)
 
+    source_side, sink_side = partition.source_side, partition.sink_side
+    # New nodes enter as singleton components.
+    fresh = [frozenset((v,)) for v in expansion.new_nodes]
     if not any(selected):
-        # No arcs selected: sides unchanged, new nodes become singleton
-        # middle components, and a disconnected graph stays disconnected.
-        middle = tuple(
-            sorted(
-                [*partition.middle, *(frozenset((v,)) for v in expansion.new_nodes)],
-                key=min,
-            )
-        )
-        return False, NodePartition(partition.source_side, partition.sink_side, middle)
+        # No arcs selected: sides unchanged, and a disconnected graph
+        # stays disconnected.
+        middle = tuple(sorted([*partition.middle, *fresh], key=min))
+        return False, NodePartition(source_side, sink_side, middle)
 
-    # Union-find over component representatives: one element per current
-    # component plus one per new node. Ids 0 and 1 are the two sides.
-    groups: list[frozenset[int]] = [
-        partition.source_side,
-        partition.sink_side,
-        *partition.middle,
-    ]
-    owner: dict[int, int] = {}
-    for gid, grp in enumerate(groups):
-        for node in grp:
-            owner[node] = gid
-    first_new = len(groups)
-    new_ids: dict[int, int] = {}
-    for node in sorted(expansion.new_nodes):
-        gid = first_new + len(new_ids)
-        new_ids[node] = gid
-        owner[node] = gid
-    parent = list(range(first_new + len(new_ids)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # Only the components a selected arc reaches are looked up, each by a
+    # scan over the components: a few selected arcs cost less than a map
+    # over every node. Each one maps to its block: the list of components
+    # joined with it so far, one list object shared by all of them, with
+    # the first one reached at its head.
+    groups = (source_side, sink_side, *partition.middle, *fresh)
+    block_of: dict[frozenset[int], list[frozenset[int]]] = {
+        source_side: [source_side],
+        sink_side: [sink_side],
+    }
     merged = False
-    for bit, (u, v) in zip(selected, expansion.arcs):
+    for bit, arc in zip(selected, expansion.arcs):
         if not bit:
             continue
-        try:
-            ru, rv = find(owner[u]), find(owner[v])
-        except KeyError as exc:
-            raise ExpansionError(f"arc endpoint {exc} is not a known node") from None
-        if ru == rv:
+        ends = []
+        for node in arc:
+            for comp in groups:
+                if node in comp:
+                    ends.append(block_of.setdefault(comp, [comp]))
+                    break
+            else:
+                raise ExpansionError(f"arc endpoint {node} is not a known node")
+        joined, other = ends
+        if joined is other:
             continue
-        parent[rv] = ru
-        if find(0) == find(1):
+        joined += other
+        for comp in other:
+            block_of[comp] = joined
+        if block_of[source_side] is block_of[sink_side]:
+            # Stop at the arc that joins the sides, so a traced stage
+            # sees the partition as it stood at the merge.
             merged = True
             break
     if merged and not want_partition:
         return True, None
 
-    clusters: dict[int, set[int]] = {}
-    for gid, grp in enumerate(groups):
-        clusters.setdefault(find(gid), set()).update(grp)
-    for node, gid in new_ids.items():
-        clusters.setdefault(find(gid), set()).add(node)
-    root_src = find(0)
-    root_snk = find(1)
-    source_side = frozenset(clusters.pop(root_src))
-    sink_side = source_side if root_snk == root_src else frozenset(clusters.pop(root_snk))
-    middle = tuple(sorted((frozenset(c) for c in clusters.values()), key=min))
-    return merged, NodePartition(source_side, sink_side, middle)
+    # A block of one component is that component, shared with the parent
+    # partition; only a block that joins several is built anew. Each
+    # middle block is emitted once, at its head.
+    source_block = block_of[source_side]
+    sink_block = block_of[sink_side]
+    source_side = _joined(source_block)
+    sink_side = source_side if merged else _joined(sink_block)
+    middle: list[frozenset[int]] = []
+    for comp in groups[2:]:
+        found = block_of.get(comp)
+        if found is None:
+            middle.append(comp)
+        elif found[0] is comp and found is not source_block and found is not sink_block:
+            middle.append(_joined(found))
+    middle.sort(key=min)
+    return merged, NodePartition(source_side, sink_side, tuple(middle))
+
+
+def _joined(block: list[frozenset[int]]) -> frozenset[int]:
+    """The component a block makes: its only member, or their union."""
+    return block[0] if len(block) == 1 else frozenset().union(*block)

@@ -22,10 +22,12 @@ What a combination does to a vector depends only on the vector's
 partition, and many retained vectors share one. So each stage runs one
 loop over the retained vectors with one memo keyed on the parent
 partition: every distinct partition is updated once per combination,
-and every vector holding it reuses the outcomes; partitions are
-interned by value, so equal ones are one object. The vectors
-themselves are still visited one by one, in the same order, so counts,
-traces and sums are those of the plain per-vector loop.
+and every vector holding it reuses the outcomes. Partitions, and the
+components inside them, are interned by value in one table per stage,
+so equal ones are one object: a partition shares each component with
+every other partition that holds it. The vectors themselves are still
+visited one by one, in the same order, so counts, traces and sums are
+those of the plain per-vector loop.
 
 An untraced final stage only has to know which combinations connect
 the terminals, and that depends only on the partition projected onto
@@ -194,6 +196,27 @@ def _rows(expansion: Expansion, shift: int, final: bool) -> Iterator[_Row]:
         yield combo, k << shift, tuple(map(getitem, choices, combo))
 
 
+def _interned(part: NodePartition, table: dict) -> NodePartition:
+    """The table's partition equal to `part`, adding it if it is new.
+
+    A new partition goes in with its components interned in the same
+    table, so equal components of different partitions are one object
+    too. A connected partition keeps both sides one object.
+    """
+    found = table.get(part)
+    if found is None:
+        source_side = table.setdefault(part.source_side, part.source_side)
+        sink_side = (
+            source_side
+            if part.sink_side is part.source_side
+            else table.setdefault(part.sink_side, part.sink_side)
+        )
+        middle = tuple([table.setdefault(comp, comp) for comp in part.middle])
+        found = NodePartition(source_side, sink_side, middle)
+        table[found] = found
+    return found
+
+
 def _outcomes(
     partition: NodePartition,
     rows: Iterable[_Row],
@@ -201,7 +224,7 @@ def _outcomes(
     final: bool,
     traced: bool,
     memoised: bool,
-    interned: dict[NodePartition, NodePartition],
+    interned: dict,
 ):
     """Yield what each row's combination makes of one partition.
 
@@ -209,7 +232,7 @@ def _outcomes(
     partition. A traced stage always gets `extend_partition_detail`'s
     partition, which connects exactly when its two sides are one
     object. Partitions the stage keeps, in its memo or its retained
-    set, are interned.
+    set, are interned with their components.
     """
     for combo, _, _ in rows:
         if traced:
@@ -219,7 +242,7 @@ def _outcomes(
             part = extend_partition(partition, combo, expansion)
             connected = part is None
         if memoised and part is not None or not (connected or final):
-            part = interned.setdefault(part, part)
+            part = _interned(part, interned)
         yield part
 
 
@@ -278,7 +301,7 @@ def initial_stage(
     total = 0.0
     comp = 0.0
     retained: list[Retained] = []
-    interned: dict[NodePartition, NodePartition] = {}
+    interned: dict = {}
     index = 0
     with _gc_paused():
         while True:
@@ -289,7 +312,7 @@ def initial_stage(
             if connected:
                 total, comp = _neumaier_add(total, comp, x)
             else:
-                part = interned.setdefault(part, part)
+                part = _interned(part, interned)
                 retained.append(Retained(index - 1, part, index, x))
                 if len(retained) > max_retained:
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
@@ -355,7 +378,7 @@ def run_expansion(
     rows = tuple(_rows(expansion, shift, final)) if memoised else None
     memo: dict[NodePartition, tuple] = {}
     by_projection: dict[NodePartition, tuple[tuple[float, ...], ...]] = {}
-    interned: dict[NodePartition, NodePartition] = {}
+    interned: dict = {}
     index = 0
     with _gc_paused():
         for item in state.infeasible:

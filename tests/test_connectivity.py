@@ -19,6 +19,7 @@ from increl import (
     initial_stage,
     is_connected,
     layered_search,
+    mask_bits,
     partition_nodes,
     project_partition,
     run_expansion,
@@ -186,6 +187,15 @@ def test_extend_rejects_wrong_selection_length():
         extend_partition(part, (1,), grow1())
 
 
+def test_extend_rejects_an_arc_to_an_unknown_node():
+    # Node 9 is neither in the partition nor among the batch's new nodes.
+    part = partition_nodes(bridge(), (0, 0, 0, 0, 0))
+    stray = Expansion(((2, 9),), (0.9,), frozenset())
+    assert extend_partition(part, (0,), stray) is not None
+    with pytest.raises(ExpansionError, match="arc endpoint 9 is not a known node"):
+        extend_partition(part, (1,), stray)
+
+
 def test_connectivity_oracle_equivalence():
     rng = random.Random(101)
     for _ in range(40):
@@ -236,9 +246,7 @@ def test_extension_commutes_with_from_scratch_partition():
             assert is_connected(scratch)
         else:
             assert not is_connected(scratch)
-            assert updated.source_side == scratch.source_side
-            assert updated.sink_side == scratch.sink_side
-            assert set(updated.middle) == set(scratch.middle)
+            assert updated == scratch
 
 
 def test_monotonicity_connected_stays_connected():
@@ -325,3 +333,48 @@ def test_extend_detail_connects_exactly_when_its_sides_are_one_object(seed):
                 connected, child = extend_partition_detail(part, combo, expansion)
                 assert connected == (child.source_side is child.sink_side)
         state, _ = run_expansion(state, expansion, final=k == len(stages) - 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_extend_detail_shows_the_partition_at_the_arc_that_joins_the_sides(seed):
+    net, stages = random_scenario(random.Random(seed))
+    state = initial_stage(net)
+    for specs in stages:
+        expansion = Expansion.for_network(state.network, specs)
+        grown = extend_network(state.network, expansion)
+        # One vector per distinct partition: the outcome depends on nothing else.
+        for r in {r.partition: r for r in state.infeasible}.values():
+            bits = mask_bits(r.mask, state.network.arc_count)
+            for combo in counting_vectors(expansion.arc_count):
+                connected, merged = extend_partition_detail(r.partition, combo, expansion)
+                if not connected:
+                    continue
+                # Zero every arc after the first one whose addition connects.
+                cuts = (combo[: k + 1] + (0,) * (len(combo) - k - 1) for k in range(len(combo)))
+                cut = next(
+                    c for c in cuts if is_connected(partition_nodes(grown, concat_bits(bits, c)))
+                )
+                assert merged == partition_nodes(grown, concat_bits(bits, cut))
+        state, _ = run_expansion(state, expansion, final=False)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_child_shares_every_component_no_selected_arc_touches(seed):
+    net, stages = random_scenario(random.Random(seed))
+    state = initial_stage(net)
+    for specs in stages:
+        expansion = Expansion.for_network(state.network, specs)
+        for part in {r.partition for r in state.infeasible}:
+            for combo in counting_vectors(expansion.arc_count):
+                _, child = extend_partition_detail(part, combo, expansion)
+                touched = {v for bit, arc in zip(combo, expansion.arcs) if bit for v in arc}
+                kept = [c for c in as_component_set(part) if c.isdisjoint(touched)]
+                child_ids = {id(c) for c in (child.source_side, child.sink_side, *child.middle)}
+                assert all(id(c) in child_ids for c in kept)
+                if part.source_side.isdisjoint(touched):
+                    assert child.source_side is part.source_side
+                if part.sink_side.isdisjoint(touched):
+                    assert child.sink_side is part.sink_side
+        state, _ = run_expansion(state, expansion, final=False)

@@ -367,8 +367,11 @@ def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
     for k, specs in enumerate(GRID_STAGES):
         final = k == len(GRID_STAGES) - 1
         distinct = {r.partition for r in state.infeasible}
-        # Equal partitions are interned: one object per distinct value.
+        # Equal partitions are interned: one object per distinct value,
+        # and so are equal components of different partitions.
         assert len({id(r.partition) for r in state.infeasible}) == len(distinct)
+        components = [c for p in distinct for c in (p.source_side, p.sink_side, *p.middle)]
+        assert len({id(c) for c in components}) == len(set(components))
         combos = (1 << len(specs)) - final
         if final:
             # The final stage extends each distinct projection onto the
@@ -428,15 +431,19 @@ def test_a_dropped_stage_leaves_no_memory_held_by_the_engine():
     assert sum(trace.size for trace in held.traces) < 64 << 10
 
 
-def test_a_retained_vector_costs_under_200_bytes_of_its_own():
+@pytest.fixture(scope="module")
+def traced_stage2():
+    """What a non-final stage 2 of the 3x3 grid leaves allocated, and its state.
+
+    The stage runs from the first 1,000 of stage 1's 11,373 vectors:
+    every allocation is traced, which makes the full stage some ten
+    times slower.
+    """
     state = initial_stage(grid_3x3())
     state, _ = run_expansion(
         state, Expansion.for_network(state.network, GRID_STAGES[0]), final=False
     )
     expansion = Expansion.for_network(state.network, GRID_STAGES[1])
-    # Stage 2, run non-final so that it retains, from the first 1,000 of
-    # stage 1's 11,373 vectors: every allocation is traced, which makes the
-    # full stage some ten times slower.
     state = dataclasses.replace(state, infeasible=state.infeasible[:1000])
     gc.collect()
     tracemalloc.start()
@@ -446,13 +453,27 @@ def test_a_retained_vector_costs_under_200_bytes_of_its_own():
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+    assert len(grown.infeasible) > 5000
+    return snapshot, grown
+
+
+def test_a_retained_vector_costs_under_200_bytes_of_its_own(traced_stage2):
+    snapshot, grown = traced_stage2
     # Allocations made by the engine's own lines: each vector's object,
-    # mask, probability and index, and the retained tuple. Partitions are
-    # built in connectivity and interned, so they are shared, not counted.
+    # mask, probability and index, the retained tuple, and the interned
+    # copy of each distinct partition, shared by every vector holding it.
     own = snapshot.filter_traces([tracemalloc.Filter(True, engine.__file__)])
     per_vector = sum(trace.size for trace in own.traces) / len(grown.infeasible)
-    assert len(grown.infeasible) > 5000
     assert per_vector < 200
+
+
+def test_a_retained_vector_costs_under_300_bytes_in_all(traced_stage2):
+    snapshot, grown = traced_stage2
+    # Every allocation the stage leaves behind, components included: the
+    # kernel builds only the components a selected arc joins, and the
+    # engine interns them, so partitions share them.
+    per_vector = sum(trace.size for trace in snapshot.traces) / len(grown.infeasible)
+    assert per_vector < 300
 
 
 @settings(derandomize=True, deadline=None)
