@@ -13,6 +13,7 @@ from increl.connectivity import (
 from increl.engine import (
     EngineState,
     Retained,
+    RetainedSet,
     StageResult,
     TraceRow,
     full_enumeration_counts,
@@ -52,6 +53,7 @@ __all__ = [
     "NodePartition",
     "ParseError",
     "Retained",
+    "RetainedSet",
     "StageResult",
     "TraceRow",
     "brute_force_reliability",

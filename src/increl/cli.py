@@ -35,7 +35,7 @@ def round12(value: float) -> float:
 
 def format_nodes(nodes: frozenset[int]) -> str:
     """Render a node set for traces, e.g. ``{2 3 5}`` or ``{}``."""
-    return "{" + " ".join(str(v) for v in sorted(nodes)) + "}"
+    return "{" + " ".join(map(str, sorted(nodes))) + "}"
 
 
 TRACE_HEADER = "i,j,vector,source_set,middle_set,sink_set,connected"

@@ -10,24 +10,29 @@ vectors replace the old set wholesale. On the final stage nothing is
 retained and the all-zero combination is skipped outright, since a
 disconnected graph gains nothing from zero new arcs.
 
-A retained vector is stored as an int mask, bit k holding the state of
-arc k+1, together with its probability. An extension ORs the
-combination's bits, shifted past the existing arcs, into the mask and
-multiplies the parent's probability by the new arcs' factors in arc
-order. That is the order `vector_probability` multiplies in, so the
-product is bit-identical to recomputing it over the whole vector, and
-no stage after the first rebuilds a vector or its probability.
+The retained set is a `RetainedSet` of four columns: each vector's int
+mask, bit k holding the state of arc k+1, its partition, its
+generation index and its probability. A `Retained` row is built only
+when someone reads one. An extension ORs the combination's bits,
+shifted past the existing arcs, into the mask and multiplies the
+parent's probability by the new arcs' factors in arc order. That is
+the order `vector_probability` multiplies in, so the product is
+bit-identical to recomputing it over the whole vector, and no stage
+after the first rebuilds a vector or its probability.
 
 What a combination does to a vector depends only on the vector's
 partition, and many retained vectors share one. So each stage runs one
 loop over the retained vectors with one memo keyed on the parent
 partition: every distinct partition is updated once per combination,
-and every vector holding it reuses the outcomes. Partitions, and the
-components inside them, are interned by value in one table per stage,
-so equal ones are one object: a partition shares each component with
-every other partition that holds it. The vectors themselves are still
-visited one by one, in the same order, so counts, traces and sums are
-those of the plain per-vector loop.
+and its entry splits the outcomes into the combinations that connect
+the terminals and the rows the stage keeps. Every vector holding the
+partition reuses the entry: it adds its connecting products to the
+sum, then appends its kept rows to the new set's columns in bulk.
+Partitions, and the components inside them, are interned by value in
+one table per stage, so equal ones are one object: a partition shares
+each component with every other partition that holds it. The vectors
+are visited in order and each one's rows in combination order, so
+counts, traces and sums are those of the plain per-vector loop.
 
 An untraced final stage only has to know which combinations connect
 the terminals, and that depends only on the partition projected onto
@@ -49,9 +54,10 @@ from __future__ import annotations
 import gc
 import sys
 import time
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import tee
+from itertools import islice
 from math import prod
 from operator import getitem
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -99,6 +105,42 @@ class Retained:
     probability: float
 
 
+class RetainedSet(Sequence[Retained]):
+    """A stage's retained vectors, stored as four parallel columns.
+
+    `masks` is a list of ints, since a mask outgrows 64 bits once enough
+    batches are added; `partitions` a list of interned partitions;
+    `indices` and `probabilities` are `array('q')` and `array('d')`.
+    The engine appends to the columns directly. Read as a sequence, the
+    set hands out `Retained` rows, built on access; a slice is a new
+    `RetainedSet`.
+    """
+
+    __slots__ = ("masks", "partitions", "indices", "probabilities")
+
+    def __init__(self) -> None:
+        self.masks: list[int] = []
+        self.partitions: list[NodePartition] = []
+        self.indices = array("q")
+        self.probabilities = array("d")
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            part = RetainedSet()
+            part.masks = self.masks[k]
+            part.partitions = self.partitions[k]
+            part.indices = self.indices[k]
+            part.probabilities = self.probabilities[k]
+            return part
+        return Retained(self.masks[k], self.partitions[k], self.indices[k], self.probabilities[k])
+
+    def __iter__(self) -> Iterator[Retained]:
+        return map(Retained, self.masks, self.partitions, self.indices, self.probabilities)
+
+
 @dataclass(frozen=True)
 class EngineState:
     """Everything carried between growth stages.
@@ -113,7 +155,7 @@ class EngineState:
     stage_index: int
     reliability_sum: float
     reliability_comp: float
-    infeasible: tuple[Retained, ...]
+    infeasible: RetainedSet
     finalized: bool = False
 
     @property
@@ -163,12 +205,28 @@ TraceFn = Callable[[TraceRow], None]
 
 # A stage whose batch is at most this wide enumerates its combinations
 # once, for the stage only, and memoises their outcomes per partition;
-# a wider batch is streamed to keep memory flat.
+# a wider batch is streamed in chunks of at most 2**this combinations,
+# to keep memory flat.
 _COMBO_CACHE_WIDTH = 16
 
-# One combination of a batch: its bits, its mask shifted past the
-# existing arcs, and its arcs' probability factors in arc order.
-_Row = tuple[Bits, int, tuple[float, ...]]
+# One combination of a batch: its 1-based position among the batch's
+# combinations, its bits, its mask shifted past the existing arcs, and
+# its arcs' probability factors in arc order.
+_Row = tuple[int, Bits, int, tuple[float, ...]]
+
+# What one partition makes of a run of rows: the outcome of each row
+# (filled on a traced stage only), the factors of the rows that connect
+# the terminals, and the position, shifted mask, factors and child
+# partition of each row a non-final stage keeps. Every part is in row
+# order.
+_Entry = tuple[
+    tuple[NodePartition, ...],
+    tuple[tuple[float, ...], ...],
+    tuple[int, ...],
+    tuple[int, ...],
+    tuple[tuple[float, ...], ...],
+    tuple[NodePartition, ...],
+]
 
 
 @contextmanager
@@ -186,14 +244,23 @@ def _gc_paused():
 def _rows(expansion: Expansion, shift: int, final: bool) -> Iterator[_Row]:
     """Yield one row per combination of the batch's arcs, in counting order.
 
-    The k-th combination's mask is k shifted past the `shift` existing
-    arcs; its factors are p for a working arc and 1 - p for a failed
-    one, the values `vector_probability` multiplies by.
+    A row's 1-based position, added to the count of rows of the vectors
+    before its parent, gives its generation index. The k-th combination's mask is k shifted past
+    the `shift` existing arcs; its factors are p for a working arc and
+    1 - p for a failed one, the values `vector_probability` multiplies
+    by.
     """
     choices = tuple((1.0 - p, p) for p in expansion.probabilities)
     combos = counting_vectors(expansion.arc_count, skip_zero=final)
     for k, combo in enumerate(combos, start=final):
-        yield combo, k << shift, tuple(map(getitem, choices, combo))
+        yield k + 1 - final, combo, k << shift, tuple(map(getitem, choices, combo))
+
+
+def _chunks(rows: Iterator[_Row]) -> Iterator[tuple[_Row, ...]]:
+    """Consecutive runs of at most 2**`_COMBO_CACHE_WIDTH` rows."""
+    size = 1 << _COMBO_CACHE_WIDTH
+    while chunk := tuple(islice(rows, size)):
+        yield chunk
 
 
 def _interned(part: NodePartition, table: dict) -> NodePartition:
@@ -217,7 +284,7 @@ def _interned(part: NodePartition, table: dict) -> NodePartition:
     return found
 
 
-def _outcomes(
+def _entry(
     partition: NodePartition,
     rows: Iterable[_Row],
     expansion: Expansion,
@@ -225,25 +292,43 @@ def _outcomes(
     traced: bool,
     memoised: bool,
     interned: dict,
-):
-    """Yield what each row's combination makes of one partition.
+) -> _Entry:
+    """Split what each row's combination makes of one partition.
 
-    An outcome is None when the terminals connect, else the child
-    partition. A traced stage always gets `extend_partition_detail`'s
-    partition, which connects exactly when its two sides are one
-    object. Partitions the stage keeps, in its memo or its retained
-    set, are interned with their components.
+    A traced stage gets `extend_partition_detail`'s partition, which
+    connects exactly when its two sides are one object, and records it
+    as the row's outcome. Partitions the stage holds, in its memo or
+    its retained set, are interned with their components, so equal
+    outcomes of different parent partitions are one object.
     """
-    for combo, _, _ in rows:
+    outcomes, connecting = [], []
+    offsets, masks, factors_kept, parts = [], [], [], []
+    for offset, combo, mask, factors in rows:
         if traced:
             part = extend_partition_detail(partition, combo, expansion)[1]
             connected = part.source_side is part.sink_side
         else:
             part = extend_partition(partition, combo, expansion)
             connected = part is None
-        if memoised and part is not None or not (connected or final):
+        if memoised and traced or not (connected or final):
             part = _interned(part, interned)
-        yield part
+        if connected:
+            connecting.append(factors)
+        elif not final:
+            offsets.append(offset)
+            masks.append(mask)
+            factors_kept.append(factors)
+            parts.append(part)
+        if traced:
+            outcomes.append(part)
+    return (
+        tuple(outcomes),
+        tuple(connecting),
+        tuple(offsets),
+        tuple(masks),
+        tuple(factors_kept),
+        tuple(parts),
+    )
 
 
 def _log_stage(
@@ -300,7 +385,7 @@ def initial_stage(
     bits = cursor.current
     total = 0.0
     comp = 0.0
-    retained: list[Retained] = []
+    retained = RetainedSet()
     interned: dict = {}
     index = 0
     with _gc_paused():
@@ -313,7 +398,10 @@ def initial_stage(
                 total, comp = _neumaier_add(total, comp, x)
             else:
                 part = _interned(part, interned)
-                retained.append(Retained(index - 1, part, index, x))
+                retained.masks.append(index - 1)
+                retained.partitions.append(part)
+                retained.indices.append(index)
+                retained.probabilities.append(x)
                 if len(retained) > max_retained:
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
             if trace is not None:
@@ -321,7 +409,7 @@ def initial_stage(
             if cursor.advance() is None:
                 break
     _log_stage(0, index, len(retained), 0, time.perf_counter() - start)
-    return EngineState(net, 0, total, comp, tuple(retained))
+    return EngineState(net, 0, total, comp, retained)
 
 
 def run_expansion(
@@ -341,20 +429,22 @@ def run_expansion(
     entirely on the final stage.
 
     One loop visits the retained vectors in order, and one memo, keyed
-    on the parent partition, holds a tuple per distinct partition:
-    each combination's outcome, or on an untraced final stage the
-    factors of the combinations that connect the terminals. Those
-    depend only on the partition projected onto the batch's endpoints
-    and the terminals, so they are computed once per distinct
-    projection, and each vector visits only the combinations that
-    connect it. Each combination's row (bits, shifted mask and
-    probability factors) is built once for the stage and dropped with
-    it. Batches wider than `_COMBO_CACHE_WIDTH` arcs are streamed: each
-    vector enumerates the rows once, lazily, and nothing is memoised,
-    so memory stays flat. A probability is computed only where it is
-    used, for a connected row or a row the stage retains. The
-    connectivity calls go through this module's globals so
-    instrumentation can rebind them.
+    on the parent partition, holds one entry per distinct partition:
+    the factors of the combinations that connect the terminals, and the
+    position, shifted mask, factors and child partition of each
+    combination the stage keeps. A vector adds its connecting products
+    to the sum in combination order and appends its kept rows to the
+    new set's columns in bulk. On an untraced final stage the entry
+    depends only on the partition projected onto the batch's endpoints
+    and the terminals, so it is computed once per distinct projection,
+    and each vector visits only the combinations that connect it. Each
+    combination's row (position, bits, shifted mask and probability
+    factors) is built once for the stage and dropped with it. Batches
+    wider than `_COMBO_CACHE_WIDTH` arcs are streamed: each vector
+    builds its entry afresh, over chunks of at most
+    2**`_COMBO_CACHE_WIDTH` rows, and nothing is memoised, so memory
+    stays flat. The connectivity calls go through this module's
+    globals so instrumentation can rebind them.
     """
     start = time.perf_counter()
     if state.finalized:
@@ -367,9 +457,12 @@ def run_expansion(
     new_net = extend_network(state.network, expansion)
     stage = state.stage_index + 1
     shift = state.network.arc_count
+    combos = (1 << width) - final
 
     total, comp = state.reliability_sum, state.reliability_comp
-    retained: list[Retained] = []
+    retained = RetainedSet()
+    masks, partitions = retained.masks, retained.partitions
+    indices, probabilities = retained.indices, retained.probabilities
     traced = trace is not None
     memoised = width <= _COMBO_CACHE_WIDTH
     projected = final and not traced
@@ -377,73 +470,59 @@ def run_expansion(
     # None for a streamed batch, which enumerates afresh for each vector.
     rows = tuple(_rows(expansion, shift, final)) if memoised else None
     memo: dict[NodePartition, tuple] = {}
-    by_projection: dict[NodePartition, tuple[tuple[float, ...], ...]] = {}
+    by_projection: dict[NodePartition, tuple] = {}
     interned: dict = {}
-    index = 0
+    parents = state.infeasible
     with _gc_paused():
-        for item in state.infeasible:
-            probability = item.probability
-            entry = memo.get(item.partition)
-            if projected:
-                if entry is None:
-                    shape = project_partition(item.partition, keep)
-                    entry = by_projection.get(shape)
-                    if entry is None:
-                        entry = (
-                            factors
-                            for combo, _, factors in rows or _rows(expansion, shift, final)
-                            if extend_partition(shape, combo, expansion) is None
-                        )
-                        if memoised:
-                            entry = by_projection[shape] = tuple(entry)
-                    if memoised:
-                        memo[item.partition] = entry
-                for factors in entry:
-                    x = prod(factors, start=probability)
-                    total, comp = _neumaier_add(total, comp, x)
-                continue
-            if memoised:
-                if entry is None:
-                    outcomes = _outcomes(
-                        item.partition, rows, expansion, final, traced, memoised, interned
+        base = 0
+        for mask, partition, parent, probability in zip(
+            parents.masks, parents.partitions, parents.indices, parents.probabilities
+        ):
+            # The entries of the vector's rows, each with the rows it covers.
+            chunks = memo.get(partition)
+            if chunks is None:
+                target = project_partition(partition, keep) if projected else partition
+                if not memoised:
+                    chunks = (
+                        (chunk, _entry(target, chunk, expansion, final, traced, False, interned))
+                        for chunk in _chunks(_rows(expansion, shift, final))
                     )
-                    entry = memo[item.partition] = tuple(outcomes)
-                pairs = zip(rows, entry)
-            else:
-                # One lazy stream of rows, shared by the outcomes and the loop.
-                stream, ahead = tee(_rows(expansion, shift, final))
-                pairs = zip(
-                    stream,
-                    _outcomes(item.partition, ahead, expansion, final, traced, memoised, interned),
-                )
+                else:
+                    chunks = by_projection.get(target) if projected else None
+                    if chunks is None:
+                        entry = _entry(target, rows, expansion, final, traced, True, interned)
+                        chunks = ((rows, entry),)
+                        if projected:
+                            by_projection[target] = chunks
+                    memo[partition] = chunks
             if traced:
-                head = mask_bits(item.mask, shift)
-            for (combo, mask, factors), part in pairs:
-                index += 1
-                connected = part is None or part.source_side is part.sink_side
+                head = mask_bits(mask, shift)
+            for chunk, (outcomes, connecting, offsets, kept, factors_kept, parts) in chunks:
                 if traced:
-                    trace(TraceRow(stage, item.index, index, head + combo, part, connected))
-                if connected:
+                    for (offset, combo, _, _), part in zip(chunk, outcomes):
+                        connected = part.source_side is part.sink_side
+                        trace(TraceRow(stage, parent, base + offset, head + combo, part, connected))
+                for factors in connecting:
                     x = prod(factors, start=probability)
                     total, comp = _neumaier_add(total, comp, x)
-                elif not final:
-                    x = prod(factors, start=probability)
-                    retained.append(Retained(item.mask | mask, part, index, x))
-                    if len(retained) > max_retained:
+                if parts:
+                    masks += [mask | m for m in kept]
+                    partitions += parts
+                    indices.extend([base + offset for offset in offsets])
+                    probabilities.extend([prod(f, start=probability) for f in factors_kept])
+                    if len(masks) > max_retained:
                         raise CapExceededError(
                             f"retained set exceeds cap of {max_retained} vectors"
                         )
+            base += combos
 
-    partitions_extended = len(memo) if memoised else len(state.infeasible)
-    # Free the stage's tables before the retained tuple is built: that
-    # moment sets the peak memory of a large non-final stage.
-    del memo, by_projection, interned, rows
+    partitions_extended = len(memo) if memoised else len(parents)
     new_state = EngineState(
         network=new_net,
         stage_index=stage,
         reliability_sum=total,
         reliability_comp=comp,
-        infeasible=tuple(retained),
+        infeasible=retained,
         finalized=final,
     )
     result = StageResult(
@@ -451,7 +530,7 @@ def run_expansion(
         arc_count=new_net.arc_count,
         reliability=new_state.reliability,
         infeasible_count=len(retained),
-        vectors_generated=len(state.infeasible) * ((1 << width) - final),
+        vectors_generated=len(parents) * combos,
         elapsed_s=time.perf_counter() - start,
         partitions_extended=partitions_extended,
     )

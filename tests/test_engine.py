@@ -18,6 +18,8 @@ from increl import (
     Expansion,
     ExpansionError,
     Network,
+    Retained,
+    RetainedSet,
     StageResult,
     TraceRow,
     brute_force_reliability,
@@ -102,7 +104,7 @@ def test_final_expansion_skips_zero_and_retains_nothing():
     )
     assert result.vectors_generated == 58
     assert result.infeasible_count == 0
-    assert state.infeasible == ()
+    assert len(state.infeasible) == 0
     assert state.finalized
     # 10 of the 58 extensions connect the terminals.
     assert state.reliability == pytest.approx(0.98872974, abs=1e-12)
@@ -124,7 +126,7 @@ def test_empty_retained_set_is_a_no_op():
         stage_index=state.stage_index,
         reliability_sum=state.reliability_sum,
         reliability_comp=state.reliability_comp,
-        infeasible=(),
+        infeasible=RetainedSet(),
     )
     expansion = Expansion.for_network(empty.network, bridge_stages()[0])
     updated, result = run_expansion(empty, expansion, final=False)
@@ -306,12 +308,12 @@ def _reference_expansion(state, expansion, final):
     return (total + comp).hex(), retained, rows
 
 
+def _row(r, arc_count):
+    return (mask_bits(r.mask, arc_count), r.index, r.partition, r.probability.hex())
+
+
 def _retained(state):
-    m = state.network.arc_count
-    return [
-        (mask_bits(r.mask, m), r.index, r.partition, r.probability.hex())
-        for r in state.infeasible
-    ]
+    return [_row(r, state.network.arc_count) for r in state.infeasible]
 
 
 _SMALL_CASES = [("bridge", bridge(0.9), bridge_stages())] + [
@@ -320,15 +322,19 @@ _SMALL_CASES = [("bridge", bridge(0.9), bridge_stages())] + [
 
 
 @pytest.mark.parametrize(
-    "net, stages, streamed",
-    [pytest.param(net, stages, False, id=name) for name, net, stages in _SMALL_CASES]
-    + [pytest.param(grid_3x3(), GRID_STAGES, False, id="grid-3x3")]
-    + [pytest.param(net, stages, True, id=f"{name}-streamed") for name, net, stages in _SMALL_CASES],
+    "net, stages, cache_width",
+    [pytest.param(net, stages, None, id=name) for name, net, stages in _SMALL_CASES]
+    + [pytest.param(grid_3x3(), GRID_STAGES, None, id="grid-3x3")]
+    + [pytest.param(net, stages, 0, id=f"{name}-streamed") for name, net, stages in _SMALL_CASES]
+    + [pytest.param(net, stages, 1, id=f"{name}-chunked") for name, net, stages in _SMALL_CASES],
 )
-def test_run_expansion_matches_per_vector_reference(net, stages, streamed, monkeypatch):
-    if streamed:
-        # Every batch is wider than the cache: no memo, no projection.
-        monkeypatch.setattr(engine, "_COMBO_CACHE_WIDTH", 0)
+def test_run_expansion_matches_per_vector_reference(net, stages, cache_width, monkeypatch):
+    if cache_width is not None:
+        # 0: every batch is wider than the cache, so nothing is memoised
+        # or projected, and each chunk holds one row. 1: a batch of two
+        # or more arcs is streamed in chunks of two rows, so a chunk
+        # boundary falls inside each vector's rows.
+        monkeypatch.setattr(engine, "_COMBO_CACHE_WIDTH", cache_width)
     state = initial_stage(net)
     for k, specs in enumerate(stages):
         final = k == len(stages) - 1
@@ -340,11 +346,62 @@ def test_run_expansion_matches_per_vector_reference(net, stages, streamed, monke
         state, result = run_expansion(state, expansion, final)
         assert traced_rows == rows
         assert result.vectors_generated == len(rows)
-        if streamed:
+        if len(specs) > engine._COMBO_CACHE_WIDTH:
             assert result.partitions_extended == parent_count
         for got in (state, traced):
             assert got.reliability.hex() == reliability
             assert _retained(got) == retained
+
+
+def test_retained_set_reads_as_the_per_vector_reference_rows():
+    state = initial_stage(bridge(0.9))
+    expansion = Expansion.for_network(state.network, bridge_stages()[0])
+    _, expected, _ = _reference_expansion(state, expansion, final=False)
+    state, _ = run_expansion(state, expansion, final=False)
+    retained, m = state.infeasible, state.network.arc_count
+    assert isinstance(retained, RetainedSet)
+    assert len(retained) == len(expected) == 58
+    assert all(isinstance(r, Retained) for r in retained)
+    assert [_row(r, m) for r in retained] == expected
+    assert [_row(retained[k], m) for k in range(58)] == expected
+    assert [_row(retained[-k], m) for k in range(1, 59)] == expected[::-1]
+    for piece in (slice(3, 17), slice(None, None, -3), slice(-5, None), slice(40, 10)):
+        part = retained[piece]
+        assert isinstance(part, RetainedSet)
+        assert [_row(r, m) for r in part] == expected[piece]
+    for k in (58, -59):
+        with pytest.raises(IndexError):
+            retained[k]
+
+
+def test_a_slice_of_the_retained_set_runs_a_stage():
+    state = initial_stage(bridge(0.9))
+    state = dataclasses.replace(state, infeasible=state.infeasible[5:12])
+    expansion = Expansion.for_network(state.network, bridge_stages()[0])
+    reliability, retained, rows = _reference_expansion(state, expansion, final=False)
+    grown, result = run_expansion(state, expansion, final=False)
+    assert result.vectors_generated == len(rows) == 7 * 4
+    assert grown.reliability.hex() == reliability
+    assert _retained(grown) == retained
+
+
+def test_a_streamed_batch_is_split_into_chunks_of_the_cache_size(monkeypatch):
+    chunks = []
+
+    def recording(partition, rows, *args):
+        chunks.append([offset for offset, _, _, _ in rows])
+        return entry(partition, rows, *args)
+
+    entry = engine._entry
+    monkeypatch.setattr(engine, "_entry", recording)
+    monkeypatch.setattr(engine, "_COMBO_CACHE_WIDTH", 1)
+    state = initial_stage(bridge(0.9))
+    three = ((2, 5, 0.9), (4, 5, 0.9), (3, 5, 0.9))
+    expansion = Expansion.for_network(state.network, three)
+    _, result = run_expansion(state, expansion, final=True)
+    assert result.vectors_generated == 16 * 7
+    # Each of the 16 vectors builds its entries afresh, two rows at a time.
+    assert chunks == [[1, 2], [3, 4], [5, 6], [7]] * 16
 
 
 def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
@@ -459,21 +516,21 @@ def traced_stage2():
 
 def test_a_retained_vector_costs_under_200_bytes_of_its_own(traced_stage2):
     snapshot, grown = traced_stage2
-    # Allocations made by the engine's own lines: each vector's object,
-    # mask, probability and index, the retained tuple, and the interned
-    # copy of each distinct partition, shared by every vector holding it.
+    # Allocations made by the engine's own lines: each vector's mask and
+    # its slots in the four columns, and the interned copy of each
+    # distinct partition, shared by every vector holding it. About 91 B.
     own = snapshot.filter_traces([tracemalloc.Filter(True, engine.__file__)])
     per_vector = sum(trace.size for trace in own.traces) / len(grown.infeasible)
-    assert per_vector < 200
+    assert per_vector < 100
 
 
 def test_a_retained_vector_costs_under_300_bytes_in_all(traced_stage2):
     snapshot, grown = traced_stage2
     # Every allocation the stage leaves behind, components included: the
     # kernel builds only the components a selected arc joins, and the
-    # engine interns them, so partitions share them.
+    # engine interns them, so partitions share them. About 127 B.
     per_vector = sum(trace.size for trace in snapshot.traces) / len(grown.infeasible)
-    assert per_vector < 300
+    assert per_vector < 135
 
 
 @settings(derandomize=True, deadline=None)
