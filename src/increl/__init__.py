@@ -12,7 +12,6 @@ from increl.connectivity import (
 )
 from increl.engine import (
     EngineState,
-    Retained,
     RetainedSet,
     StageResult,
     TraceRow,
@@ -52,7 +51,6 @@ __all__ = [
     "Network",
     "NodePartition",
     "ParseError",
-    "Retained",
     "RetainedSet",
     "StageResult",
     "TraceRow",

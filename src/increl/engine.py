@@ -12,13 +12,13 @@ disconnected graph gains nothing from zero new arcs.
 
 The retained set is a `RetainedSet` of four columns: each vector's int
 mask, bit k holding the state of arc k+1, its partition, its
-generation index and its probability. A `Retained` row is built only
-when someone reads one. An extension ORs the combination's bits,
-shifted past the existing arcs, into the mask and multiplies the
-parent's probability by the new arcs' factors in arc order. That is
-the order `vector_probability` multiplies in, so the product is
-bit-identical to recomputing it over the whole vector, and no stage
-after the first rebuilds a vector or its probability.
+generation index and its probability; row k is the k-th entry of each.
+An extension ORs the combination's bits, shifted past the existing
+arcs, into the mask and multiplies the parent's probability by the
+new arcs' factors in arc order. That is the order `vector_probability`
+multiplies in, so the product is bit-identical to recomputing it over
+the whole vector, and no stage after the first rebuilds a vector or
+its probability.
 
 What a combination does to a vector depends only on the vector's
 partition, and many retained vectors share one. So each stage runs one
@@ -70,7 +70,7 @@ from increl.connectivity import (
     partition_nodes,
     project_partition,
 )
-from increl.enumeration import BitCursor, counting_vectors
+from increl.enumeration import counting_vectors
 from increl.model import (
     ArcSpec,
     Bits,
@@ -87,33 +87,16 @@ DEFAULT_MAX_ARCS = 30
 DEFAULT_MAX_RETAINED = 1 << 26
 _MAX_EXPANSION_ARCS = 26
 
-@dataclass(frozen=True, slots=True)
-class Retained:
-    """An infeasible vector carried forward to the next stage.
 
-    `mask` holds the vector's arc states, bit k for arc k+1 (so a
-    stage-0 vector's mask is its generation index minus one);
-    `mask_bits(mask, arc_count)` decodes it. `probability` is
-    `vector_probability` of that vector, to the last bit. `index` is
-    the vector's 1-based generation index within the stage that
-    produced it, kept so traces can name the parent of each extension.
-    """
-
-    mask: int
-    partition: NodePartition
-    index: int
-    probability: float
-
-
-class RetainedSet(Sequence[Retained]):
+class RetainedSet:
     """A stage's retained vectors, stored as four parallel columns.
 
-    `masks` is a list of ints, since a mask outgrows 64 bits once enough
-    batches are added; `partitions` a list of interned partitions;
-    `indices` and `probabilities` are `array('q')` and `array('d')`.
-    The engine appends to the columns directly. Read as a sequence, the
-    set hands out `Retained` rows, built on access; a slice is a new
-    `RetainedSet`.
+    Row k is `masks[k]`, `partitions[k]`, `indices[k]` and
+    `probabilities[k]`: the vector's arc states as an int, bit j for arc
+    j+1 (a list, since masks outgrow 64 bits; `mask_bits` decodes one);
+    its interned partition; its 1-based generation index in the stage
+    that made it, which traces name as a parent (`array('q')`); and its
+    `vector_probability`, to the last bit (`array('d')`).
     """
 
     __slots__ = ("masks", "partitions", "indices", "probabilities")
@@ -126,19 +109,6 @@ class RetainedSet(Sequence[Retained]):
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            part = RetainedSet()
-            part.masks = self.masks[k]
-            part.partitions = self.partitions[k]
-            part.indices = self.indices[k]
-            part.probabilities = self.probabilities[k]
-            return part
-        return Retained(self.masks[k], self.partitions[k], self.indices[k], self.probabilities[k])
-
-    def __iter__(self) -> Iterator[Retained]:
-        return map(Retained, self.masks, self.partitions, self.indices, self.probabilities)
 
 
 @dataclass(frozen=True)
@@ -290,16 +260,15 @@ def _entry(
     expansion: Expansion,
     final: bool,
     traced: bool,
-    memoised: bool,
     interned: dict,
 ) -> _Entry:
     """Split what each row's combination makes of one partition.
 
     A traced stage gets `extend_partition_detail`'s partition, which
     connects exactly when its two sides are one object, and records it
-    as the row's outcome. Partitions the stage holds, in its memo or
-    its retained set, are interned with their components, so equal
-    outcomes of different parent partitions are one object.
+    as the row's outcome. Every traced outcome and every kept child is
+    interned with its components, so equal outcomes of different parent
+    partitions are one object.
     """
     outcomes, connecting = [], []
     offsets, masks, factors_kept, parts = [], [], [], []
@@ -310,7 +279,7 @@ def _entry(
         else:
             part = extend_partition(partition, combo, expansion)
             connected = part is None
-        if memoised and traced or not (connected or final):
+        if traced or not (connected or final):
             part = _interned(part, interned)
         if connected:
             connecting.append(factors)
@@ -321,14 +290,7 @@ def _entry(
             parts.append(part)
         if traced:
             outcomes.append(part)
-    return (
-        tuple(outcomes),
-        tuple(connecting),
-        tuple(offsets),
-        tuple(masks),
-        tuple(factors_kept),
-        tuple(parts),
-    )
+    return tuple(map(tuple, (outcomes, connecting, offsets, masks, factors_kept, parts)))
 
 
 def _log_stage(
@@ -369,8 +331,8 @@ def initial_stage(
 ) -> EngineState:
     """Full enumeration of the original network.
 
-    Visits all 2**m vectors in counting order with a single reused
-    buffer; feasible vectors contribute their probability and are
+    Visits all 2**m vectors in counting order, as `counting_vectors`
+    yields them; feasible vectors contribute their probability and are
     dropped, infeasible ones are retained with their partitions and
     probabilities. The resulting reliability is exact for the original
     network.
@@ -381,16 +343,11 @@ def initial_stage(
         raise ValueError("network has no arcs")
     if m > max_arcs:
         raise CapExceededError(f"network has {m} arcs, enumeration capped at {max_arcs}")
-    cursor = BitCursor(m)
-    bits = cursor.current
-    total = 0.0
-    comp = 0.0
+    total = comp = 0.0
     retained = RetainedSet()
     interned: dict = {}
-    index = 0
     with _gc_paused():
-        while True:
-            index += 1
+        for index, bits in enumerate(counting_vectors(m), start=1):
             part = partition_nodes(net, bits)
             connected = is_connected(part)
             x = vector_probability(bits, net)
@@ -405,9 +362,7 @@ def initial_stage(
                 if len(retained) > max_retained:
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
             if trace is not None:
-                trace(TraceRow(0, index, index, tuple(bits), part, connected))
-            if cursor.advance() is None:
-                break
+                trace(TraceRow(0, index, index, bits, part, connected))
     _log_stage(0, index, len(retained), 0, time.perf_counter() - start)
     return EngineState(net, 0, total, comp, retained)
 
@@ -484,13 +439,13 @@ def run_expansion(
                 target = project_partition(partition, keep) if projected else partition
                 if not memoised:
                     chunks = (
-                        (chunk, _entry(target, chunk, expansion, final, traced, False, interned))
+                        (chunk, _entry(target, chunk, expansion, final, traced, interned))
                         for chunk in _chunks(_rows(expansion, shift, final))
                     )
                 else:
                     chunks = by_projection.get(target) if projected else None
                     if chunks is None:
-                        entry = _entry(target, rows, expansion, final, traced, True, interned)
+                        entry = _entry(target, rows, expansion, final, traced, interned)
                         chunks = ((rows, entry),)
                         if projected:
                             by_projection[target] = chunks

@@ -147,14 +147,23 @@ class Expansion:
 
 
 def extend_network(net: Network, expansion: Expansion) -> Network:
-    """The cumulative network after appending an expansion's arcs."""
-    return Network(
-        nodes=net.nodes | expansion.new_nodes,
-        arcs=net.arcs + expansion.arcs,
-        probabilities=net.probabilities + expansion.probabilities,
-        source=net.source,
-        sink=net.sink,
-    )
+    """The cumulative network after appending an expansion's arcs.
+
+    Raises ExpansionError if the expansion was bound to another network:
+    a new node of it is in `net`, or the grown network is invalid.
+    """
+    if not net.nodes.isdisjoint(expansion.new_nodes):
+        raise ExpansionError("the expansion's new nodes are already in the network")
+    try:
+        return Network(
+            nodes=net.nodes | expansion.new_nodes,
+            arcs=net.arcs + expansion.arcs,
+            probabilities=net.probabilities + expansion.probabilities,
+            source=net.source,
+            sink=net.sink,
+        )
+    except ValueError as exc:
+        raise ExpansionError(str(exc)) from None
 
 
 def vector_probability(bits: Sequence[int], net: Network) -> float:

@@ -143,6 +143,10 @@ VALIDATION_CASES = [
           ParseError, "probability 1.5 outside [0, 1]", 2, 1),
     _case("net-node-beyond-count", "nodes 4\narc 1 5 0.5\n", None,
           ParseError, "beyond the declared 4", 2, 1),
+    _case("net-non-integer-node", "nodes 4\narc 1 x 0.5\n", None,
+          ParseError, "node id must be an integer, got 'x'", 2, 1),
+    _case("net-arc-three-fields", "nodes 4\n\narc 1 2\n", None,
+          ParseError, "arc lines take exactly 'arc <u> <v> <p>'", 3, 1),
     _case("inc-non-positive-node", BRIDGE_NET_TEXT, "arc 2 5 0.9\narc -1 5 0.9\n",
           ParseError, "node ids must be positive", 2, 1),
     _case("inc-self-loop", BRIDGE_NET_TEXT, "arc 5 5 0.9\n",

@@ -155,9 +155,9 @@ def scenario_suite():
             if not stage_state.finalized:
                 held = math.fsum(
                     vector_probability(
-                        mask_bits(r.mask, stage_state.network.arc_count), stage_state.network
+                        mask_bits(mask, stage_state.network.arc_count), stage_state.network
                     )
-                    for r in stage_state.infeasible
+                    for mask in stage_state.infeasible.masks
                 )
                 residuals.append(abs(stage_state.reliability + held - 1.0))
     elapsed = time.perf_counter() - start

@@ -304,6 +304,20 @@ def test_version(capsys):
     assert out.startswith("increl ")
 
 
+def test_module_entry_point_prints_the_version():
+    import os
+    import subprocess
+    import sys
+
+    import increl
+
+    env = {**os.environ, "PYTHONPATH": str(Path(increl.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "increl", "version"], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"increl {increl.__version__}\n", "")
+
+
 def test_module_and_script_entry_points():
     import os
     import subprocess

@@ -181,6 +181,12 @@ def test_extend_detail_reports_merged_sets():
     assert merged.middle == (frozenset({3}),)
 
 
+def test_partition_and_layers_reject_a_vector_of_the_wrong_length():
+    for search in (partition_nodes, layered_search):
+        with pytest.raises(ValueError, match="vector covers 2 arcs but the network has 5"):
+            search(bridge(), (1, 1))
+
+
 def test_extend_rejects_wrong_selection_length():
     part = partition_nodes(bridge(), (0, 0, 0, 0, 0))
     with pytest.raises(ExpansionError, match="selection"):
@@ -313,7 +319,7 @@ def test_projection_onto_batch_endpoints_decides_connectivity(seed):
         state, _ = run_expansion(state, Expansion.for_network(state.network, specs), final=False)
     expansion = Expansion.for_network(state.network, stages[-1])
     keep = frozenset({net.source, net.sink}).union(*expansion.arcs)
-    for part in {r.partition for r in state.infeasible}:
+    for part in set(state.infeasible.partitions):
         projected = project_partition(part, keep)
         for combo in counting_vectors(expansion.arc_count):
             assert (extend_partition(projected, combo, expansion) is None) == (
@@ -328,7 +334,7 @@ def test_extend_detail_connects_exactly_when_its_sides_are_one_object(seed):
     state = initial_stage(net)
     for k, specs in enumerate(stages):
         expansion = Expansion.for_network(state.network, specs)
-        for part in {r.partition for r in state.infeasible}:
+        for part in set(state.infeasible.partitions):
             for combo in counting_vectors(expansion.arc_count):
                 connected, child = extend_partition_detail(part, combo, expansion)
                 assert connected == (child.source_side is child.sink_side)
@@ -344,10 +350,11 @@ def test_extend_detail_shows_the_partition_at_the_arc_that_joins_the_sides(seed)
         expansion = Expansion.for_network(state.network, specs)
         grown = extend_network(state.network, expansion)
         # One vector per distinct partition: the outcome depends on nothing else.
-        for r in {r.partition: r for r in state.infeasible}.values():
-            bits = mask_bits(r.mask, state.network.arc_count)
+        retained = state.infeasible
+        for part, mask in dict(zip(retained.partitions, retained.masks)).items():
+            bits = mask_bits(mask, state.network.arc_count)
             for combo in counting_vectors(expansion.arc_count):
-                connected, merged = extend_partition_detail(r.partition, combo, expansion)
+                connected, merged = extend_partition_detail(part, combo, expansion)
                 if not connected:
                     continue
                 # Zero every arc after the first one whose addition connects.
@@ -366,7 +373,7 @@ def test_a_child_shares_every_component_no_selected_arc_touches(seed):
     state = initial_stage(net)
     for specs in stages:
         expansion = Expansion.for_network(state.network, specs)
-        for part in {r.partition for r in state.infeasible}:
+        for part in set(state.infeasible.partitions):
             for combo in counting_vectors(expansion.arc_count):
                 _, child = extend_partition_detail(part, combo, expansion)
                 touched = {v for bit, arc in zip(combo, expansion.arcs) if bit for v in arc}

@@ -18,7 +18,6 @@ from increl import (
     Expansion,
     ExpansionError,
     Network,
-    Retained,
     RetainedSet,
     StageResult,
     TraceRow,
@@ -58,8 +57,8 @@ def test_initial_stage_single_arc():
     net = Network(frozenset({1, 2}), ((1, 2),), (0.7,), 1, 2)
     state = initial_stage(net)
     assert state.reliability == pytest.approx(0.7, abs=1e-15)
-    assert [mask_bits(r.mask, 1) for r in state.infeasible] == [(0,)]
-    assert [r.probability for r in state.infeasible] == [vector_probability((0,), net)]
+    assert [mask_bits(mask, 1) for mask in state.infeasible.masks] == [(0,)]
+    assert list(state.infeasible.probabilities) == [vector_probability((0,), net)]
 
 
 def test_initial_stage_rejects_arcless_network():
@@ -176,7 +175,7 @@ def _held(state):
     """Probability mass of the retained vectors, recomputed from their masks."""
     m = state.network.arc_count
     return math.fsum(
-        vector_probability(mask_bits(r.mask, m), state.network) for r in state.infeasible
+        vector_probability(mask_bits(mask, m), state.network) for mask in state.infeasible.masks
     )
 
 
@@ -292,12 +291,13 @@ def _reference_expansion(state, expansion, final):
     total, comp = state.reliability_sum, state.reliability_comp
     retained, rows = [], []
     generated = 0
-    for item in state.infeasible:
+    parents = state.infeasible
+    for mask, partition, index in zip(parents.masks, parents.partitions, parents.indices):
         for combo in counting_vectors(expansion.arc_count, skip_zero=final):
             generated += 1
-            extended = mask_bits(item.mask, state.network.arc_count) + combo
-            connected, part = extend_partition_detail(item.partition, combo, expansion)
-            rows.append(TraceRow(stage, item.index, generated, extended, part, connected))
+            extended = mask_bits(mask, state.network.arc_count) + combo
+            connected, part = extend_partition_detail(partition, combo, expansion)
+            rows.append(TraceRow(stage, index, generated, extended, part, connected))
             x = vector_probability(extended, new_net)
             if connected:
                 t = total + x
@@ -308,12 +308,25 @@ def _reference_expansion(state, expansion, final):
     return (total + comp).hex(), retained, rows
 
 
-def _row(r, arc_count):
-    return (mask_bits(r.mask, arc_count), r.index, r.partition, r.probability.hex())
-
-
 def _retained(state):
-    return [_row(r, state.network.arc_count) for r in state.infeasible]
+    """The retained rows as (bits, index, partition, probability as float hex)."""
+    r, m = state.infeasible, state.network.arc_count
+    return [
+        (mask_bits(mask, m), index, part, p.hex())
+        for mask, part, index, p in zip(
+            r.masks, r.partitions, r.indices, r.probabilities, strict=True
+        )
+    ]
+
+
+def _sliced(retained, piece):
+    """A retained set holding the same slice of each column."""
+    part = RetainedSet()
+    part.masks = retained.masks[piece]
+    part.partitions = retained.partitions[piece]
+    part.indices = retained.indices[piece]
+    part.probabilities = retained.probabilities[piece]
+    return part
 
 
 _SMALL_CASES = [("bridge", bridge(0.9), bridge_stages())] + [
@@ -358,25 +371,18 @@ def test_retained_set_reads_as_the_per_vector_reference_rows():
     expansion = Expansion.for_network(state.network, bridge_stages()[0])
     _, expected, _ = _reference_expansion(state, expansion, final=False)
     state, _ = run_expansion(state, expansion, final=False)
-    retained, m = state.infeasible, state.network.arc_count
+    retained = state.infeasible
     assert isinstance(retained, RetainedSet)
     assert len(retained) == len(expected) == 58
-    assert all(isinstance(r, Retained) for r in retained)
-    assert [_row(r, m) for r in retained] == expected
-    assert [_row(retained[k], m) for k in range(58)] == expected
-    assert [_row(retained[-k], m) for k in range(1, 59)] == expected[::-1]
-    for piece in (slice(3, 17), slice(None, None, -3), slice(-5, None), slice(40, 10)):
-        part = retained[piece]
-        assert isinstance(part, RetainedSet)
-        assert [_row(r, m) for r in part] == expected[piece]
-    for k in (58, -59):
-        with pytest.raises(IndexError):
-            retained[k]
+    assert type(retained.masks) is type(retained.partitions) is list
+    assert (retained.indices.typecode, retained.probabilities.typecode) == ("q", "d")
+    # Row k is the k-th entry of each column; `_retained` zips them strictly.
+    assert _retained(state) == expected
 
 
 def test_a_slice_of_the_retained_set_runs_a_stage():
     state = initial_stage(bridge(0.9))
-    state = dataclasses.replace(state, infeasible=state.infeasible[5:12])
+    state = dataclasses.replace(state, infeasible=_sliced(state.infeasible, slice(5, 12)))
     expansion = Expansion.for_network(state.network, bridge_stages()[0])
     reliability, retained, rows = _reference_expansion(state, expansion, final=False)
     grown, result = run_expansion(state, expansion, final=False)
@@ -423,10 +429,10 @@ def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
     expected = examined = 0
     for k, specs in enumerate(GRID_STAGES):
         final = k == len(GRID_STAGES) - 1
-        distinct = {r.partition for r in state.infeasible}
+        distinct = set(state.infeasible.partitions)
         # Equal partitions are interned: one object per distinct value,
         # and so are equal components of different partitions.
-        assert len({id(r.partition) for r in state.infeasible}) == len(distinct)
+        assert len(set(map(id, state.infeasible.partitions))) == len(distinct)
         components = [c for p in distinct for c in (p.source_side, p.sink_side, *p.middle)]
         assert len({id(c) for c in components}) == len(set(components))
         combos = (1 << len(specs)) - final
@@ -501,7 +507,7 @@ def traced_stage2():
         state, Expansion.for_network(state.network, GRID_STAGES[0]), final=False
     )
     expansion = Expansion.for_network(state.network, GRID_STAGES[1])
-    state = dataclasses.replace(state, infeasible=state.infeasible[:1000])
+    state = dataclasses.replace(state, infeasible=_sliced(state.infeasible, slice(1000)))
     gc.collect()
     tracemalloc.start()
     try:
@@ -543,11 +549,11 @@ def test_retained_masks_carry_exact_probabilities_and_partitions(seed):
         if specs:
             expansion = Expansion.for_network(state.network, specs)
             state, _ = run_expansion(state, expansion, final=False)
-        m = state.network.arc_count
-        for r in state.infeasible:
-            bits = mask_bits(r.mask, m)
-            assert r.probability.hex() == vector_probability(bits, state.network).hex()
-            assert r.partition == partition_nodes(state.network, bits)
+        m, r = state.network.arc_count, state.infeasible
+        for mask, partition, probability in zip(r.masks, r.partitions, r.probabilities):
+            bits = mask_bits(mask, m)
+            assert probability.hex() == vector_probability(bits, state.network).hex()
+            assert partition == partition_nodes(state.network, bits)
 
 
 def test_the_increl_logger_reports_each_stage_once(caplog):

@@ -13,7 +13,9 @@ from increl import (
     concat_bits,
     counting_vectors,
     extend_network,
+    initial_stage,
     mask_bits,
+    run_expansion,
     vector_probability,
 )
 from helpers import bridge
@@ -39,6 +41,21 @@ def test_network_validates_probability_range():
 def test_network_requires_terminals_present():
     with pytest.raises(ValueError):
         Network(frozenset({1, 2}), ((1, 2),), (0.5,), 1, 9)
+
+
+def test_network_requires_one_probability_per_arc():
+    with pytest.raises(ValueError, match="2 probabilities for 1 arcs"):
+        Network(frozenset({1, 2}), ((1, 2),), (0.5, 0.5), 1, 2)
+
+
+def test_network_requires_distinct_terminals():
+    with pytest.raises(ValueError, match="distinct"):
+        Network(frozenset({1, 2}), ((1, 2),), (0.5,), 1, 1)
+
+
+def test_network_rejects_an_arc_to_an_unknown_node():
+    with pytest.raises(ValueError, match=r"arc \(1, 3\) references an unknown node"):
+        Network(frozenset({1, 2}), ((1, 2), (1, 3)), (0.5, 0.5), 1, 2)
 
 
 def test_vector_probability_all_working():
@@ -135,6 +152,11 @@ def test_expansion_rejects_self_loop_and_empty():
         Expansion.for_network(bridge(), ())
 
 
+def test_expansion_rejects_node_id_zero():
+    with pytest.raises(ExpansionError, match="node ids must be positive, got \\(0, 5\\)"):
+        Expansion.for_network(bridge(), ((0, 5, 0.5),))
+
+
 def test_expansion_derives_new_nodes():
     expansion = Expansion.for_network(bridge(), ((2, 5, 0.5), (4, 5, 0.5)))
     assert expansion.new_nodes == frozenset({5})
@@ -152,3 +174,22 @@ def test_extend_network_keeps_terminals_and_order():
     full = extend_network(grown, exp2)
     assert full.arcs == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (2, 5), (4, 5), (3, 5))
     assert (full.source, full.sink) == (1, 4)
+
+
+def test_extend_network_rejects_new_nodes_already_in_the_network():
+    # Bound to a network without nodes 1..4, the batch would add the
+    # bridge's own nodes, terminals included, a second time.
+    bound = Expansion.for_network(bridge(), ((2, 5, 0.9), (4, 5, 0.9)))
+    foreign = Expansion(bound.arcs, bound.probabilities, frozenset({1, 2, 3, 4, 5}))
+    with pytest.raises(ExpansionError, match="new nodes are already in the network"):
+        extend_network(bridge(), foreign)
+    state = initial_stage(bridge())
+    with pytest.raises(ExpansionError, match="new nodes are already in the network"):
+        run_expansion(state, foreign, final=False)
+
+
+def test_extend_network_rejects_an_arc_to_an_unknown_node():
+    # Node 6 is neither in the bridge nor among the batch's new nodes.
+    foreign = Expansion(((2, 5), (5, 6)), (0.9, 0.9), frozenset({5}))
+    with pytest.raises(ExpansionError, match=r"arc \(5, 6\) references an unknown node"):
+        extend_network(bridge(), foreign)
