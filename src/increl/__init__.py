@@ -14,6 +14,7 @@ from increl.engine import (
     EngineState,
     RetainedSet,
     StageResult,
+    TraceBlock,
     TraceRow,
     full_enumeration_counts,
     initial_stage,
@@ -53,6 +54,7 @@ __all__ = [
     "ParseError",
     "RetainedSet",
     "StageResult",
+    "TraceBlock",
     "TraceRow",
     "brute_force_reliability",
     "concat_bits",

@@ -10,6 +10,10 @@ Subcommands::
 Exit codes: 0 ok (also for ``--help``), 1 parse error, unreadable
 file or command-line usage error, 2 size cap exceeded, 3 invalid
 expansion.
+
+``run --trace DIR`` writes ``stageK.csv`` per stage, one row per
+examined vector. The engine hands the rows over as one `TraceBlock`
+per parent vector, and `TraceDirectory` writes each block at once.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import count
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import increl
 from increl.connectivity import NodePartition
-from increl.engine import StageResult, TraceRow, full_enumeration_counts, run
-from increl.model import CapExceededError, ExpansionError, ParseError
+from increl.engine import StageResult, TraceBlock, TraceRow, full_enumeration_counts, run
+from increl.model import Bits, CapExceededError, ExpansionError, ParseError
 from increl.netfile import parse_expansion_specs, parse_network
 from increl.oracle import brute_force_reliability
 
@@ -56,45 +61,68 @@ def _format_sets(part: NodePartition) -> str:
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _format_row(row: TraceRow, sets: str) -> str:
-    bits = bytes(row.bits).translate(_BIT_CHARS).decode("ascii")
-    return f"{row.parent_index},{row.index},{bits},{sets},{'Y' if row.connected else ''}"
+def _bit_string(bits: Bits) -> str:
+    return bytes(bits).translate(_BIT_CHARS).decode("ascii")
 
 
 def format_trace_row(row: TraceRow) -> str:
-    return _format_row(row, _format_sets(row.partition))
+    return (
+        f"{row.parent_index},{row.index},{_bit_string(row.bits)},"
+        f"{_format_sets(row.partition)},{'Y' if row.connected else ''}"
+    )
+
+
+class _SetColumns(dict):
+    """Each partition's ``source_set,middle_set,sink_set,connected`` columns.
+
+    Rendered on first use and looked up by value after that.
+    """
+
+    def __missing__(self, part: NodePartition) -> str:
+        connected = "Y" if part.source_side is part.sink_side else ""
+        columns = self[part] = f"{_format_sets(part)},{connected}"
+        return columns
 
 
 class TraceDirectory:
-    """Streams trace rows into one CSV file per stage.
+    """Streams trace blocks into one CSV file per stage, one write per block.
 
-    Many rows of a stage share a partition, so its set columns are
-    rendered once per stage and looked up by value for the rest.
+    The blocks of a stage share one combination tuple, and many rows
+    share a partition. So each combination's bit string is rendered
+    once per tuple, each partition's set columns once per stage, and
+    a row joins the parent's bit string to those.
     """
 
     def __init__(self, directory: Path):
         self.directory = directory
         directory.mkdir(parents=True, exist_ok=True)
         self._files: dict[int, TextIO] = {}
-        self._sets: dict[NodePartition, str] = {}
+        self._sets = _SetColumns()
+        # Holding the tuple keeps its identity from passing to another one.
+        self._combos: tuple[Bits, ...] = ()
+        self._tails: tuple[str, ...] = ()
 
-    def __call__(self, row: TraceRow) -> None:
-        handle = self._files.get(row.stage)
+    def __call__(self, block: TraceBlock) -> None:
+        handle = self._files.get(block.stage)
         if handle is None:
-            handle = (self.directory / f"stage{row.stage}.csv").open("w", encoding="utf-8")
+            handle = (self.directory / f"stage{block.stage}.csv").open("w", encoding="utf-8")
             handle.write(TRACE_HEADER + "\n")
-            self._files[row.stage] = handle
+            self._files[block.stage] = handle
             self._sets.clear()
-        sets = self._sets.get(row.partition)
-        if sets is None:
-            sets = self._sets[row.partition] = _format_sets(row.partition)
-        handle.write(_format_row(row, sets) + "\n")
+        if block.combos is not self._combos:
+            self._combos = block.combos
+            self._tails = tuple(map(_bit_string, block.combos))
+        sets, i = self._sets, block.parent_index
+        head = _bit_string(block.head)
+        rows = zip(count(block.first_index), self._tails, block.outcomes)
+        handle.write("".join([f"{i},{j},{head}{tail},{sets[part]}\n" for j, tail, part in rows]))
 
     def close(self) -> None:
         for handle in self._files.values():
             handle.close()
         self._files.clear()
         self._sets.clear()
+        self._combos, self._tails = (), ()
 
 
 def build_run_report(

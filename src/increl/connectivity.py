@@ -11,10 +11,14 @@ Middle components are stored individually rather than as one flat node
 set: an arriving arc that touches one node of a middle component must
 drag the whole component into whichever side it connects to, and only
 a per-component representation can express that. Components are
-immutable, so partitions share them: an update looks only at the
-components its selected arcs reach and builds a set only where it
-joins several, and every other component of the updated partition is
-the parent's own object.
+immutable, so partitions share them.
+
+Every update is built from one step, `add_arc`: one more working arc
+either falls inside a component and changes nothing, or joins two
+components into one new set, and every other component of the result
+is the parent's own object. `extend_partition` and
+`extend_partition_detail` fold that step over a batch's selected arcs,
+starting from the parent plus the batch's new nodes (`add_nodes`).
 """
 
 from __future__ import annotations
@@ -159,6 +163,63 @@ def project_partition(partition: NodePartition, keep: frozenset[int]) -> NodePar
     return NodePartition(source_side, sink_side, middle)
 
 
+def add_nodes(partition: NodePartition, nodes: frozenset[int]) -> NodePartition:
+    """The partition with each of `nodes` added as a singleton component.
+
+    The base every extension starts from: the parent partition plus an
+    expansion's new nodes, with no new arc yet. Without new nodes it is
+    the partition itself.
+    """
+    if not nodes:
+        return partition
+    middle = tuple(sorted([*partition.middle, *(frozenset((v,)) for v in nodes)], key=min))
+    return NodePartition(partition.source_side, partition.sink_side, middle)
+
+
+def _locate(partition: NodePartition, node: int) -> int:
+    """-2 for the source side, -1 for the sink side, else the middle position."""
+    if node in partition.source_side:
+        return -2
+    if node in partition.sink_side:
+        return -1
+    for k, comp in enumerate(partition.middle):
+        if node in comp:
+            return k
+    raise ExpansionError(f"arc endpoint {node} is not a known node")
+
+
+def add_arc(partition: NodePartition, arc: tuple[int, int]) -> NodePartition:
+    """The partition after one more working arc.
+
+    Returns `partition` itself when the arc's ends already share a
+    component. Otherwise the two components become one new set, and
+    every other component stays the parent's own object. When the arc
+    joins the source and sink sides, both sides of the result are that
+    one set, so `part.source_side is part.sink_side` tells a merge.
+    Middle components stay ordered by smallest member: the joined set
+    takes the place of the earlier of the two.
+    """
+    first, second = _locate(partition, arc[0]), _locate(partition, arc[1])
+    if first == second:
+        return partition
+    if first > second:
+        first, second = second, first
+    source_side, sink_side, middle = partition
+    if second == -1:
+        joined = source_side | sink_side
+        return NodePartition(joined, joined, middle)
+    other = middle[second]
+    rest = middle[:second] + middle[second + 1 :]
+    if first == -2:
+        joined = source_side | other
+        # A connected partition's sides are one object, and stay so.
+        return NodePartition(joined, joined if sink_side is source_side else sink_side, rest)
+    if first == -1:
+        return NodePartition(source_side, sink_side | other, rest)
+    joined = middle[first] | other
+    return NodePartition(source_side, sink_side, rest[:first] + (joined,) + rest[first + 1 :])
+
+
 def extend_partition(
     partition: NodePartition, selected: Sequence[int], expansion: Expansion
 ) -> NodePartition | None:
@@ -169,7 +230,7 @@ def extend_partition(
     nothing is retained); otherwise returns the updated partition with
     the expansion's new nodes included.
     """
-    connected, part = _extend(partition, selected, expansion, want_partition=False)
+    connected, part = extend_partition_detail(partition, selected, expansion)
     return None if connected else part
 
 
@@ -178,23 +239,14 @@ def extend_partition_detail(
 ) -> tuple[bool, NodePartition]:
     """Like extend_partition, but always materializes the partition.
 
-    Used by tracing: when the sides merge, the returned partition shows
-    the state at the moment of the merge, with source and sink fields
-    holding the same merged set. For a disconnected `partition` the
-    flag is True exactly when the returned sides are one object, so
-    `part.source_side is part.sink_side` alone tells a merge.
+    A fold of `add_arc` over the selected arcs in arc order, from the
+    partition plus the expansion's new nodes. It stops at the arc that
+    joins the sides, so a traced stage sees the partition as it stood
+    at the merge, with source and sink fields holding the same merged
+    set. For a disconnected `partition` the flag is True exactly when
+    the returned sides are one object, so `part.source_side is
+    part.sink_side` alone tells a merge.
     """
-    connected, part = _extend(partition, selected, expansion, want_partition=True)
-    assert part is not None
-    return connected, part
-
-
-def _extend(
-    partition: NodePartition,
-    selected: Sequence[int],
-    expansion: Expansion,
-    want_partition: bool,
-) -> tuple[bool, NodePartition | None]:
     if len(selected) != len(expansion.arcs):
         raise ExpansionError(
             f"selection covers {len(selected)} arcs but the expansion has "
@@ -202,71 +254,11 @@ def _extend(
         )
     if is_connected(partition):
         # Connectivity is never lost by adding arcs.
-        return True, (partition if want_partition else None)
-
-    source_side, sink_side = partition.source_side, partition.sink_side
-    # New nodes enter as singleton components.
-    fresh = [frozenset((v,)) for v in expansion.new_nodes]
-    if not any(selected):
-        # No arcs selected: sides unchanged, and a disconnected graph
-        # stays disconnected.
-        middle = tuple(sorted([*partition.middle, *fresh], key=min))
-        return False, NodePartition(source_side, sink_side, middle)
-
-    # Only the components a selected arc reaches are looked up, each by a
-    # scan over the components: a few selected arcs cost less than a map
-    # over every node. Each one maps to its block: the list of components
-    # joined with it so far, one list object shared by all of them, with
-    # the first one reached at its head.
-    groups = (source_side, sink_side, *partition.middle, *fresh)
-    block_of: dict[frozenset[int], list[frozenset[int]]] = {
-        source_side: [source_side],
-        sink_side: [sink_side],
-    }
-    merged = False
+        return True, partition
+    part = add_nodes(partition, expansion.new_nodes)
     for bit, arc in zip(selected, expansion.arcs):
-        if not bit:
-            continue
-        ends = []
-        for node in arc:
-            for comp in groups:
-                if node in comp:
-                    ends.append(block_of.setdefault(comp, [comp]))
-                    break
-            else:
-                raise ExpansionError(f"arc endpoint {node} is not a known node")
-        joined, other = ends
-        if joined is other:
-            continue
-        joined += other
-        for comp in other:
-            block_of[comp] = joined
-        if block_of[source_side] is block_of[sink_side]:
-            # Stop at the arc that joins the sides, so a traced stage
-            # sees the partition as it stood at the merge.
-            merged = True
-            break
-    if merged and not want_partition:
-        return True, None
-
-    # A block of one component is that component, shared with the parent
-    # partition; only a block that joins several is built anew. Each
-    # middle block is emitted once, at its head.
-    source_block = block_of[source_side]
-    sink_block = block_of[sink_side]
-    source_side = _joined(source_block)
-    sink_side = source_side if merged else _joined(sink_block)
-    middle: list[frozenset[int]] = []
-    for comp in groups[2:]:
-        found = block_of.get(comp)
-        if found is None:
-            middle.append(comp)
-        elif found[0] is comp and found is not source_block and found is not sink_block:
-            middle.append(_joined(found))
-    middle.sort(key=min)
-    return merged, NodePartition(source_side, sink_side, tuple(middle))
-
-
-def _joined(block: list[frozenset[int]]) -> frozenset[int]:
-    """The component a block makes: its only member, or their union."""
-    return block[0] if len(block) == 1 else frozenset().union(*block)
+        if bit:
+            part = add_arc(part, arc)
+            if part.source_side is part.sink_side:
+                return True, part
+    return False, part

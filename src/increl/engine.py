@@ -23,8 +23,11 @@ its probability.
 What a combination does to a vector depends only on the vector's
 partition, and many retained vectors share one. So each stage runs one
 loop over the retained vectors with one memo keyed on the parent
-partition: every distinct partition is updated once per combination,
-and its entry splits the outcomes into the combinations that connect
+partition. Every distinct partition gets one base, itself plus the
+batch's new nodes, and each combination's outcome is one `add_arc`
+step from the outcome of its prefix, the combination without its top
+arc: a vector is its predecessor plus one arc, as in a binary-addition
+tree. The entry splits the outcomes into the combinations that connect
 the terminals and the rows the stage keeps. Every vector holding the
 partition reuses the entry: it adds its connecting products to the
 sum, then appends its kept rows to the new set's columns in bulk.
@@ -39,8 +42,12 @@ the terminals, and that depends only on the partition projected onto
 the terminals and the batch's endpoints. Its memo entry is those
 combinations, computed once per distinct projection, so each retained
 vector visits only the combinations that connect it: distinct
-projections x combinations partition updates plus retained + feasible
+projections x combinations one-arc steps plus retained + feasible
 vector steps.
+
+A trace callback gets one `TraceBlock` per parent vector: the entry's
+outcomes and the stage's shared combinations, so tracing adds no
+object per examined vector; `TraceBlock.rows` spells the rows out.
 
 Reliability is accumulated with compensated summation in a fixed
 order, so identical inputs produce bit-identical results. The cyclic
@@ -62,8 +69,13 @@ from math import prod
 from operator import getitem
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from increl.connectivity import (
+# extend_partition and extend_partition_detail are not called here, but
+# instrumentation that rebinds this module's connectivity names counts
+# them, so they stay importable from it.
+from increl.connectivity import (  # noqa: F401
     NodePartition,
+    add_arc,
+    add_nodes,
     extend_partition,
     extend_partition_detail,
     is_connected,
@@ -84,7 +96,10 @@ from increl.model import (
 )
 
 DEFAULT_MAX_ARCS = 30
-DEFAULT_MAX_RETAINED = 1 << 26
+# About 2.6 GB at the 155 B of resident memory a retained vector was
+# measured to cost on a 4x4 grid (469 MB for 3.03M vectors), so the cap
+# trips before an 8 GB machine runs out of memory.
+DEFAULT_MAX_RETAINED = 1 << 24
 _MAX_EXPANSION_ARCS = 26
 
 
@@ -154,13 +169,13 @@ class StageResult:
 
 
 class TraceRow(NamedTuple):
-    """One examined vector, as emitted to an optional trace callback.
+    """One examined vector, as `TraceBlock.rows` yields it.
 
     `parent_index` is the generation index of the source vector in the
     previous stage (equal to `index` at stage 0). For connected rows
     the partition shows the merged source/sink component as it stood
     when the merge was detected. A named tuple rather than a frozen
-    dataclass, because one is built per traced vector.
+    dataclass, because one is built per row.
     """
 
     stage: int
@@ -171,7 +186,40 @@ class TraceRow(NamedTuple):
     connected: bool
 
 
-TraceFn = Callable[[TraceRow], None]
+class TraceBlock(NamedTuple):
+    """The examined vectors one parent vector makes, for a trace callback.
+
+    Row i is the vector `head + combos[i]`, with generation index
+    `first_index + i` and partition `outcomes[i]`; it connects the
+    terminals exactly when that partition's two sides are one object.
+    A growth stage hands over one block per retained parent vector
+    (per chunk of a streamed batch), and the blocks of a memoised stage
+    share one `combos` tuple. Stage 0 hands over one block per vector, with
+    the whole vector as `head` and the single empty combination. A
+    block is built from objects the stage holds anyway, so a callback
+    that keeps no reference to it leaves nothing behind.
+    """
+
+    stage: int
+    parent_index: int
+    first_index: int
+    head: Bits
+    combos: tuple[Bits, ...]
+    outcomes: tuple[NodePartition, ...]
+
+    def rows(self) -> Iterator[TraceRow]:
+        """One `TraceRow` per examined vector, in generation order."""
+        stage, parent, first, head = self.stage, self.parent_index, self.first_index, self.head
+        for i, (combo, part) in enumerate(zip(self.combos, self.outcomes)):
+            yield TraceRow(
+                stage, parent, first + i, head + combo, part, part.source_side is part.sink_side
+            )
+
+
+TraceFn = Callable[[TraceBlock], None]
+
+# The combinations of a stage-0 block: the vector is all head.
+_NO_COMBOS: tuple[Bits, ...] = ((),)
 
 # A stage whose batch is at most this wide enumerates its combinations
 # once, for the stage only, and memoises their outcomes per partition;
@@ -254,31 +302,75 @@ def _interned(part: NodePartition, table: dict) -> NodePartition:
     return found
 
 
-def _entry(
+def _outcomes(partition: NodePartition, expansion: Expansion, width: int) -> list[NodePartition]:
+    """The partition of each combination of the batch's first `width` arcs.
+
+    In counting order. Combination 0 is the base: the partition plus
+    the batch's new nodes. Combination k is its prefix, k without its
+    top bit, plus the arc of that bit, so its partition is one `add_arc`
+    step from the prefix's; a prefix that already connects the
+    terminals is reused as it is. That is the fold
+    `extend_partition_detail` makes over k's arcs, with one step per
+    combination instead of one per selected arc.
+    """
+    outcomes = [add_nodes(partition, expansion.new_nodes)]
+    for arc in expansion.arcs[:width]:
+        outcomes += [p if p.source_side is p.sink_side else add_arc(p, arc) for p in outcomes]
+    return outcomes
+
+
+def _streamed(
     partition: NodePartition,
-    rows: Iterable[_Row],
     expansion: Expansion,
+    shift: int,
+    final: bool,
+    traced: bool,
+    interned: dict,
+) -> Iterator[tuple[tuple[Bits, ...], _Entry]]:
+    """The combinations and entry of each chunk of a batch too wide to memoise.
+
+    One table covers the batch's first `_COMBO_CACHE_WIDTH` arcs, one
+    chunk's worth. A combination takes those arcs first in arc order,
+    so its partition is the table's for them, folded over its other
+    arcs until the sides join.
+    """
+    low = _COMBO_CACHE_WIDTH
+    table = _outcomes(partition, expansion, low)
+    high = expansion.arcs[low:]
+
+    def outcomes(chunk: tuple[_Row, ...]) -> Iterator[NodePartition]:
+        for offset, combo, _, _ in chunk:
+            # The row's combination number is offset - 1 + final.
+            part = table[(offset - 1 + final) % len(table)]
+            for bit, arc in zip(combo[low:], high):
+                if bit and part.source_side is not part.sink_side:
+                    part = add_arc(part, arc)
+            yield part
+
+    for chunk in _chunks(_rows(expansion, shift, final)):
+        combos = tuple(row[1] for row in chunk)
+        yield combos, _entry(outcomes(chunk), chunk, final, traced, interned)
+
+
+def _entry(
+    outcomes: Iterable[NodePartition],
+    rows: Iterable[_Row],
     final: bool,
     traced: bool,
     interned: dict,
 ) -> _Entry:
     """Split what each row's combination makes of one partition.
 
-    A traced stage gets `extend_partition_detail`'s partition, which
-    connects exactly when its two sides are one object, and records it
-    as the row's outcome. Every traced outcome and every kept child is
-    interned with its components, so equal outcomes of different parent
-    partitions are one object.
+    `outcomes` holds each row's partition, in row order; a row connects
+    the terminals exactly when its partition's two sides are one
+    object. A traced stage records every outcome. Every traced
+    outcome and every kept child is interned with its components, so
+    equal outcomes of different parent partitions are one object.
     """
-    outcomes, connecting = [], []
+    recorded, connecting = [], []
     offsets, masks, factors_kept, parts = [], [], [], []
-    for offset, combo, mask, factors in rows:
-        if traced:
-            part = extend_partition_detail(partition, combo, expansion)[1]
-            connected = part.source_side is part.sink_side
-        else:
-            part = extend_partition(partition, combo, expansion)
-            connected = part is None
+    for (offset, _, mask, factors), part in zip(rows, outcomes):
+        connected = part.source_side is part.sink_side
         if traced or not (connected or final):
             part = _interned(part, interned)
         if connected:
@@ -289,8 +381,8 @@ def _entry(
             factors_kept.append(factors)
             parts.append(part)
         if traced:
-            outcomes.append(part)
-    return tuple(map(tuple, (outcomes, connecting, offsets, masks, factors_kept, parts)))
+            recorded.append(part)
+    return tuple(map(tuple, (recorded, connecting, offsets, masks, factors_kept, parts)))
 
 
 def _log_stage(
@@ -335,7 +427,7 @@ def initial_stage(
     yields them; feasible vectors contribute their probability and are
     dropped, infeasible ones are retained with their partitions and
     probabilities. The resulting reliability is exact for the original
-    network.
+    network. `trace`, if given, gets one `TraceBlock` per vector.
     """
     start = time.perf_counter()
     m = net.arc_count
@@ -362,7 +454,7 @@ def initial_stage(
                 if len(retained) > max_retained:
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
             if trace is not None:
-                trace(TraceRow(0, index, index, bits, part, connected))
+                trace(TraceBlock(0, index, index, bits, _NO_COMBOS, (part,)))
     _log_stage(0, index, len(retained), 0, time.perf_counter() - start)
     return EngineState(net, 0, total, comp, retained)
 
@@ -387,19 +479,25 @@ def run_expansion(
     on the parent partition, holds one entry per distinct partition:
     the factors of the combinations that connect the terminals, and the
     position, shifted mask, factors and child partition of each
-    combination the stage keeps. A vector adds its connecting products
-    to the sum in combination order and appends its kept rows to the
-    new set's columns in bulk. On an untraced final stage the entry
-    depends only on the partition projected onto the batch's endpoints
-    and the terminals, so it is computed once per distinct projection,
-    and each vector visits only the combinations that connect it. Each
-    combination's row (position, bits, shifted mask and probability
-    factors) is built once for the stage and dropped with it. Batches
-    wider than `_COMBO_CACHE_WIDTH` arcs are streamed: each vector
-    builds its entry afresh, over chunks of at most
-    2**`_COMBO_CACHE_WIDTH` rows, and nothing is memoised, so memory
-    stays flat. The connectivity calls go through this module's
-    globals so instrumentation can rebind them.
+    combination the stage keeps. The entry's outcomes come one
+    `add_arc` step per combination from the base (`_outcomes`), and a
+    prefix that already connects is reused. A vector adds its
+    connecting products to the sum in combination order and appends
+    its kept rows to the new set's columns in bulk. On an untraced
+    final stage the entry depends only on the partition projected onto
+    the batch's endpoints and the terminals, so it is computed once per
+    distinct projection, and each vector visits only the combinations
+    that connect it. Each combination's row (position, bits, shifted
+    mask and probability factors) is built once for the stage and
+    dropped with it. Batches wider than `_COMBO_CACHE_WIDTH` arcs are
+    streamed: each vector builds its entry afresh, over chunks of at
+    most 2**`_COMBO_CACHE_WIDTH` rows from one table of as many
+    outcomes, and nothing is memoised, so memory stays flat. The
+    connectivity calls go through this module's globals so
+    instrumentation can rebind them.
+
+    `trace`, if given, gets one `TraceBlock` per retained vector (per
+    chunk of a streamed batch), in generation order.
     """
     start = time.perf_counter()
     if state.finalized:
@@ -424,6 +522,7 @@ def run_expansion(
     keep = frozenset((new_net.source, new_net.sink)).union(*expansion.arcs)
     # None for a streamed batch, which enumerates afresh for each vector.
     rows = tuple(_rows(expansion, shift, final)) if memoised else None
+    stage_combos = tuple(row[1] for row in rows) if memoised else None
     memo: dict[NodePartition, tuple] = {}
     by_projection: dict[NodePartition, tuple] = {}
     interned: dict = {}
@@ -433,30 +532,28 @@ def run_expansion(
         for mask, partition, parent, probability in zip(
             parents.masks, parents.partitions, parents.indices, parents.probabilities
         ):
-            # The entries of the vector's rows, each with the rows it covers.
+            # The entries of the vector's rows, each with the combinations it covers.
             chunks = memo.get(partition)
             if chunks is None:
                 target = project_partition(partition, keep) if projected else partition
                 if not memoised:
-                    chunks = (
-                        (chunk, _entry(target, chunk, expansion, final, traced, interned))
-                        for chunk in _chunks(_rows(expansion, shift, final))
-                    )
+                    chunks = _streamed(target, expansion, shift, final, traced, interned)
                 else:
                     chunks = by_projection.get(target) if projected else None
                     if chunks is None:
-                        entry = _entry(target, rows, expansion, final, traced, interned)
-                        chunks = ((rows, entry),)
+                        outcomes = _outcomes(target, expansion, width)[final:]
+                        entry = _entry(outcomes, rows, final, traced, interned)
+                        chunks = ((stage_combos, entry),)
                         if projected:
                             by_projection[target] = chunks
                     memo[partition] = chunks
             if traced:
                 head = mask_bits(mask, shift)
-            for chunk, (outcomes, connecting, offsets, kept, factors_kept, parts) in chunks:
+            first = base + 1
+            for chunk_combos, (outcomes, connecting, offsets, kept, factors_kept, parts) in chunks:
                 if traced:
-                    for (offset, combo, _, _), part in zip(chunk, outcomes):
-                        connected = part.source_side is part.sink_side
-                        trace(TraceRow(stage, parent, base + offset, head + combo, part, connected))
+                    trace(TraceBlock(stage, parent, first, head, chunk_combos, outcomes))
+                    first += len(chunk_combos)
                 for factors in connecting:
                     x = prod(factors, start=probability)
                     total, comp = _neumaier_add(total, comp, x)

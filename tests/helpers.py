@@ -63,11 +63,13 @@ def _probability(rng: random.Random) -> float:
     return p
 
 
-def random_scenario(rng: random.Random, max_nodes: int = 8, max_total_arcs: int = 14):
+def random_scenario(
+    rng: random.Random, max_nodes: int = 8, max_total_arcs: int = 14, max_batch: int = 3
+):
     """Draw a random growth scenario.
 
     Original network: 2..6 nodes, up to 10 arcs. Then 1..3 growth
-    batches of 1..3 arcs each; batches may reuse free node pairs or
+    batches of 1..`max_batch` arcs each; batches may reuse free node pairs or
     bring in new nodes (occasionally two at once). The total arc count
     is capped so the brute-force cross-check stays fast.
     """
@@ -90,7 +92,7 @@ def random_scenario(rng: random.Random, max_nodes: int = 8, max_total_arcs: int 
     budget = max_total_arcs - m
     for _ in range(rng.randint(1, 3)):
         batch = []
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(1, max_batch)):
             if budget <= 0:
                 break
             free = [

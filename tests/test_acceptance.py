@@ -97,7 +97,11 @@ def test_criterion_4_trace_golden_row_for_row():
     def run_traced():
         for v in rows.values():
             v.clear()
-        run(bridge(), bridge_stages(), trace=lambda r: rows[r.stage].append(format_trace_row(r)))
+        run(
+            bridge(),
+            bridge_stages(),
+            trace=lambda block: rows[block.stage].extend(map(format_trace_row, block.rows())),
+        )
 
     _, elapsed = best_of_three(run_traced)
     stage1, stage2 = rows[1], rows[2]

@@ -154,9 +154,9 @@ def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
     for net, stages in (random_scenario(random.Random(5)), (grid_3x3(), GRID_STAGES)):
         rows = []
 
-        def collect(row):
-            rows.append(row)
-            trace(row)
+        def collect(block):
+            rows.extend(block.rows())
+            trace(block)
 
         rendered = 0
         try:

@@ -24,6 +24,7 @@ from increl import (
     project_partition,
     run_expansion,
 )
+from increl.connectivity import add_arc, add_nodes
 from helpers import bridge, random_scenario
 
 
@@ -179,6 +180,42 @@ def test_extend_detail_reports_merged_sets():
     assert merged.source_side is merged.sink_side
     assert merged.source_side == frozenset({1, 2, 4, 5})
     assert merged.middle == (frozenset({3}),)
+
+
+def test_add_arc_within_a_component_returns_the_partition_itself():
+    part = partition_nodes(bridge(), (0, 0, 1, 0, 0))
+    assert add_arc(part, (3, 2)) is part
+
+
+def test_add_arc_joins_two_middle_components_in_place_of_the_earlier():
+    part = NodePartition(
+        frozenset({1}), frozenset({9}), (frozenset({2}), frozenset({3, 7}), frozenset({4, 5}))
+    )
+    joined = add_arc(part, (5, 2))
+    assert joined.middle == (frozenset({2, 4, 5}), frozenset({3, 7}))
+    assert joined.middle[1] is part.middle[1]
+    assert joined.source_side is part.source_side and joined.sink_side is part.sink_side
+
+
+def test_add_arc_across_the_sides_makes_them_one_object():
+    part = NodePartition(frozenset({1, 2}), frozenset({4}), (frozenset({3}),))
+    merged = add_arc(part, (4, 2))
+    assert merged.source_side is merged.sink_side == frozenset({1, 2, 4})
+    assert merged.middle is part.middle
+    # A connected partition keeps its sides one object.
+    grown = add_arc(merged, (3, 1))
+    assert grown.source_side is grown.sink_side == frozenset({1, 2, 3, 4})
+    assert grown.middle == ()
+
+
+def test_add_nodes_adds_singletons_in_order():
+    part = NodePartition(frozenset({1}), frozenset({4}), (frozenset({2, 6}),))
+    assert add_nodes(part, frozenset()) is part
+    assert add_nodes(part, frozenset({5, 3})).middle == (
+        frozenset({2, 6}),
+        frozenset({3}),
+        frozenset({5}),
+    )
 
 
 def test_partition_and_layers_reject_a_vector_of_the_wrong_length():

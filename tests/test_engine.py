@@ -3,13 +3,14 @@
 import collections
 import dataclasses
 import gc
+import inspect
 import logging
 import math
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from increl import (
@@ -25,6 +26,7 @@ from increl import (
     counting_vectors,
     engine,
     extend_network,
+    extend_partition,
     extend_partition_detail,
     full_enumeration_counts,
     initial_stage,
@@ -35,6 +37,7 @@ from increl import (
     run_expansion,
     vector_probability,
 )
+from increl.connectivity import add_arc, add_nodes
 from helpers import (
     GRID_STAGES,
     bridge,
@@ -270,7 +273,7 @@ def test_full_enumeration_counts_overflow_guard():
 
 def test_trace_callback_sees_every_vector():
     rows = []
-    results = run(bridge(0.9), bridge_stages(), trace=rows.append)
+    results = run(bridge(0.9), bridge_stages(), trace=lambda block: rows.extend(block.rows()))
     assert len(rows) == sum(r.vectors_generated for r in results)
     by_stage = {}
     for row in rows:
@@ -354,7 +357,9 @@ def test_run_expansion_matches_per_vector_reference(net, stages, cache_width, mo
         expansion = Expansion.for_network(state.network, specs)
         reliability, retained, rows = _reference_expansion(state, expansion, final)
         traced_rows = []
-        traced, _ = run_expansion(state, expansion, final, trace=traced_rows.append)
+        traced, _ = run_expansion(
+            state, expansion, final, trace=lambda block: traced_rows.extend(block.rows())
+        )
         parent_count = len(state.infeasible)
         state, result = run_expansion(state, expansion, final)
         assert traced_rows == rows
@@ -411,22 +416,26 @@ def test_a_streamed_batch_is_split_into_chunks_of_the_cache_size(monkeypatch):
 
 
 def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
-    calls = collections.Counter()
+    # One entry per base, in the order the bases are built: the add_arc
+    # steps taken from it, and whether one of them started from a
+    # partition that already connects.
+    bases = []
 
-    def counting(name):
-        plain = getattr(engine, name)
+    def counted_base(partition, nodes):
+        bases.append([0, False])
+        return add_nodes(partition, nodes)
 
-        def counted(*args):
-            calls[name] += 1
-            return plain(*args)
+    def counted_step(partition, arc):
+        bases[-1][0] += 1
+        bases[-1][1] |= partition.source_side is partition.sink_side
+        return add_arc(partition, arc)
 
-        monkeypatch.setattr(engine, name, counted)
-
-    counting("extend_partition")
-    counting("extend_partition_detail")
+    monkeypatch.setattr(engine, "add_nodes", counted_base)
+    monkeypatch.setattr(engine, "add_arc", counted_step)
     net = grid_3x3()
     state = initial_stage(net)
-    expected = examined = 0
+    steps = collections.Counter()
+    examined = 0
     for k, specs in enumerate(GRID_STAGES):
         final = k == len(GRID_STAGES) - 1
         distinct = set(state.infeasible.partitions)
@@ -435,28 +444,64 @@ def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
         assert len(set(map(id, state.infeasible.partitions))) == len(distinct)
         components = [c for p in distinct for c in (p.source_side, p.sink_side, *p.middle)]
         assert len({id(c) for c in components}) == len(set(components))
-        combos = (1 << len(specs)) - final
         if final:
-            # The final stage extends each distinct projection onto the
-            # terminals and the batch's endpoints, and those are fewer.
+            # An untraced final stage steps from each distinct projection
+            # onto the terminals and the batch's endpoints, and those are fewer.
             keep = {net.source, net.sink}.union(*((u, v) for u, v, _ in specs))
             projections = {project_partition(p, frozenset(keep)) for p in distinct}
-            assert len(projections) * combos < len(distinct) * combos
-            expected += len(projections) * combos
-        else:
-            expected += len(distinct) * combos
+            assert len(projections) < len(distinct)
         expansion = Expansion.for_network(state.network, specs)
-        # A traced stage memoises too: once per distinct partition and combination.
-        traced_before = calls["extend_partition_detail"]
-        _, traced = run_expansion(state, expansion, final, trace=lambda row: None)
-        assert calls["extend_partition_detail"] - traced_before == len(distinct) * combos
-        assert traced.partitions_extended == len(distinct)
-        state, result = run_expansion(state, expansion, final)
-        assert result.partitions_extended == len(distinct)
+        for traced in (True, False):
+            bases.clear()
+            trace = (lambda block: None) if traced else None
+            grown, result = run_expansion(state, expansion, final, trace=trace)
+            assert len(bases) == (len(projections) if final and not traced else len(distinct))
+            # At most one step per combination past the base, and none
+            # from a prefix that already connects.
+            assert all(taken <= (1 << len(specs)) - 1 for taken, _ in bases)
+            assert not any(from_connected for _, from_connected in bases)
+            assert result.partitions_extended == len(distinct)
+            steps[traced] += sum(taken for taken, _ in bases)
         examined += result.vectors_generated
-    assert calls["extend_partition"] == expected
-    assert calls["extend_partition"] < examined
-    assert calls["extend_partition_detail"] < examined
+        state = grown
+    assert 0 < steps[False] < examined and 0 < steps[True] < examined
+
+
+# Seed 20 draws a 4-arc batch with an arc to a new node and one between two new nodes.
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(20)
+def test_one_arc_steps_give_each_combinations_extension(seed):
+    net, stages = random_scenario(random.Random(seed), max_batch=4)
+    state = initial_stage(net)
+    for k, specs in enumerate(stages):
+        final = k == len(stages) - 1
+        expansion = Expansion.for_network(state.network, specs)
+        grown = extend_network(state.network, expansion)
+        combos = tuple(counting_vectors(expansion.arc_count))
+        parents, n = state.infeasible, len(combos)
+        blocks = []
+        traced, _ = run_expansion(state, expansion, final, trace=blocks.append)
+        kept, _ = run_expansion(state, expansion, final=False)
+        untraced, _ = run_expansion(state, expansion, final)
+        assert untraced.reliability.hex() == traced.reliability.hex()
+        children = dict(zip(kept.infeasible.indices, kept.infeasible.partitions))
+        # The first vector holding each distinct partition, with its block.
+        first = {}
+        for position, (part, block) in enumerate(zip(parents.partitions, blocks, strict=True)):
+            first.setdefault(part, (position, block))
+        for part, (position, block) in first.items():
+            assert block.combos == combos[final:]
+            traced_outcomes = [extend_partition_detail(part, c, expansion)[1] for c in combos]
+            assert block.outcomes == tuple(traced_outcomes[final:])
+            bits = mask_bits(parents.masks[position], state.network.arc_count)
+            for j, (combo, outcome) in enumerate(zip(combos, traced_outcomes)):
+                child = extend_partition(part, combo, expansion)
+                assert children.get(position * n + j + 1) == child
+                if child is not None:
+                    # A combination that does not connect holds the exact components.
+                    assert outcome == child == partition_nodes(grown, bits + combo)
+        state = kept
 
 
 def test_streamed_batch_matches_the_same_arcs_split_in_two():
@@ -554,6 +599,17 @@ def test_retained_masks_carry_exact_probabilities_and_partitions(seed):
             bits = mask_bits(mask, m)
             assert probability.hex() == vector_probability(bits, state.network).hex()
             assert partition == partition_nodes(state.network, bits)
+
+
+def test_the_default_retained_cap_trips_before_memory_runs_out():
+    # A retained vector was measured at 155 B of resident memory on a
+    # 4x4 grid (469 MB for 3.03M vectors); a full set at the default cap
+    # must stay under 3 GB, well inside an 8 GB machine.
+    assert engine.DEFAULT_MAX_RETAINED * 155 < 3 << 30
+    assert (engine.DEFAULT_MAX_RETAINED + 1) * 155 > 2.5e9
+    for entry_point in (run, initial_stage, run_expansion):
+        default = inspect.signature(entry_point).parameters["max_retained"].default
+        assert default == engine.DEFAULT_MAX_RETAINED
 
 
 def test_the_increl_logger_reports_each_stage_once(caplog):

@@ -1,5 +1,6 @@
-"""The test suite's own configuration: how pytest treats warnings."""
+"""The test suite's own configuration and the benchmark job it drives."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,23 @@ def test_a_failing_property_is_reported_and_every_other_warning_still_fails(tmp_
     assert "FAILED test_suite.py::test_a_failing_property" in done.stdout
     assert "FAILED test_suite.py::test_a_stray_warning" in done.stdout
     assert "2 failed, 1 passed" in done.stdout
+
+
+def test_the_benchmark_job_writes_the_bridge_trace_goldens(tmp_path):
+    root = PYPROJECT.parent
+    trace = tmp_path / "trace"
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, str(root / "bench" / "child.py"), str(tmp_path / "result.json"),
+         "fixtures/bridge.net", "fixtures/bridge_grow1.inc", "fixtures/bridge_grow2.inc",
+         "--csv-trace", str(trace)],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    for stage in (0, 1, 2):
+        expected = (root / "tests" / "data" / f"bridge_stage{stage}.csv").read_bytes()
+        assert (trace / f"stage{stage}.csv").read_bytes() == expected
