@@ -2,17 +2,22 @@
 
 Stage 0 enumerates every state vector of the original network once,
 folding feasible vectors into the reliability sum and retaining each
-infeasible vector together with its node partition. Every later stage
-extends only the retained vectors: each one is combined with every
-state combination of the newly added arcs, the stored partition is
-updated instead of re-searching the graph, and the new infeasible
-vectors replace the old set wholesale. On the final stage nothing is
-retained and the all-zero combination is skipped outright, since a
-disconnected graph gains nothing from zero new arcs.
+infeasible vector together with its node partition. It walks the
+binary-addition tree: each vector's working arcs from its lowest one
+up are those of a vector already met plus that one arc, so its
+partition is one `add_arc` step from one the walk holds, and no vector
+searches the graph. Every later stage extends only the retained
+vectors: each one is combined with every state combination of the
+newly added arcs, the stored partition is updated instead of
+re-searching the graph, and the new infeasible vectors replace the old
+set wholesale. On the final stage nothing is retained and the all-zero
+combination is skipped outright, since a disconnected graph gains
+nothing from zero new arcs.
 
-The retained set is a `RetainedSet` of four columns: each vector's int
+The retained set is a `RetainedSet` of four columns: each vector's
 mask, bit k holding the state of arc k+1, its partition, its
 generation index and its probability; row k is the k-th entry of each.
+Masks are machine words while the network has at most 64 arcs.
 An extension ORs the combination's bits, shifted past the existing
 arcs, into the mask and multiplies the parent's probability by the
 new arcs' factors in arc order. That is the order `vector_probability`
@@ -28,14 +33,15 @@ batch's new nodes, and each combination's outcome is one `add_arc`
 step from the outcome of its prefix, the combination without its top
 arc: a vector is its predecessor plus one arc, as in a binary-addition
 tree. The entry splits the outcomes into the combinations that connect
-the terminals and the rows the stage keeps. Every vector holding the
-partition reuses the entry: it adds its connecting products to the
-sum, then appends its kept rows to the new set's columns in bulk.
-Partitions, and the components inside them, are interned by value in
-one table per stage, so equal ones are one object: a partition shares
-each component with every other partition that holds it. The vectors
-are visited in order and each one's rows in combination order, so
-counts, traces and sums are those of the plain per-vector loop.
+the terminals and the rows the stage keeps, as references to the
+stage's own rows. Every vector holding the partition reuses the entry:
+it adds its connecting products to the sum, then appends its kept rows
+to the new set's columns in bulk. Partitions, and the components inside
+them, are interned by value in one table per stage, so equal ones are
+one object: a partition shares each component with every other
+partition that holds it. The vectors are visited in order and each
+one's rows in combination order, so counts, traces and sums are those
+of the plain per-vector loop.
 
 An untraced final stage only has to know which combinations connect
 the terminals, and that depends only on the partition projected onto
@@ -69,9 +75,10 @@ from math import prod
 from operator import getitem
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-# extend_partition and extend_partition_detail are not called here, but
-# instrumentation that rebinds this module's connectivity names counts
-# them, so they stay importable from it.
+# extend_partition, extend_partition_detail, is_connected and
+# partition_nodes are not called here, but instrumentation that rebinds
+# this module's connectivity names counts them, so they stay importable
+# from it.
 from increl.connectivity import (  # noqa: F401
     NodePartition,
     add_arc,
@@ -101,6 +108,8 @@ DEFAULT_MAX_ARCS = 30
 # trips before an 8 GB machine runs out of memory.
 DEFAULT_MAX_RETAINED = 1 << 24
 _MAX_EXPANSION_ARCS = 26
+# The bits of an `array('Q')` item: masks of wider networks are ints.
+_WORD_BITS = 64
 
 
 class RetainedSet:
@@ -108,16 +117,19 @@ class RetainedSet:
 
     Row k is `masks[k]`, `partitions[k]`, `indices[k]` and
     `probabilities[k]`: the vector's arc states as an int, bit j for arc
-    j+1 (a list, since masks outgrow 64 bits; `mask_bits` decodes one);
-    its interned partition; its 1-based generation index in the stage
-    that made it, which traces name as a parent (`array('q')`); and its
-    `vector_probability`, to the last bit (`array('d')`).
+    j+1 (`mask_bits` decodes one); its interned partition; its 1-based
+    generation index in the stage that made it, which traces name as a
+    parent (`array('q')`); and its `vector_probability`, to the last bit
+    (`array('d')`). `masks` is an `array('Q')` of machine words while
+    `arc_count`, the network's, is at most 64, and a list of ints past
+    that, since masks then outgrow a word. Either form takes `append`
+    and `extend`.
     """
 
     __slots__ = ("masks", "partitions", "indices", "probabilities")
 
-    def __init__(self) -> None:
-        self.masks: list[int] = []
+    def __init__(self, arc_count: int = 0) -> None:
+        self.masks: array | list[int] = array("Q") if arc_count <= _WORD_BITS else []
         self.partitions: list[NodePartition] = []
         self.indices = array("q")
         self.probabilities = array("d")
@@ -234,15 +246,13 @@ _Row = tuple[int, Bits, int, tuple[float, ...]]
 
 # What one partition makes of a run of rows: the outcome of each row
 # (filled on a traced stage only), the factors of the rows that connect
-# the terminals, and the position, shifted mask, factors and child
-# partition of each row a non-final stage keeps. Every part is in row
-# order.
+# the terminals, and the rows a non-final stage keeps, as the stage's
+# own row objects, with the child partition of each. Every part is in
+# row order.
 _Entry = tuple[
     tuple[NodePartition, ...],
     tuple[tuple[float, ...], ...],
-    tuple[int, ...],
-    tuple[int, ...],
-    tuple[tuple[float, ...], ...],
+    tuple[_Row, ...],
     tuple[NodePartition, ...],
 ]
 
@@ -363,26 +373,25 @@ def _entry(
 
     `outcomes` holds each row's partition, in row order; a row connects
     the terminals exactly when its partition's two sides are one
-    object. A traced stage records every outcome. Every traced
-    outcome and every kept child is interned with its components, so
-    equal outcomes of different parent partitions are one object.
+    object. A traced stage records every outcome. A kept row is the
+    row object itself, so an entry adds one reference per kept row and
+    copies none of its parts. Every traced outcome and every kept child
+    is interned with its components, so equal outcomes of different
+    parent partitions are one object.
     """
-    recorded, connecting = [], []
-    offsets, masks, factors_kept, parts = [], [], [], []
-    for (offset, _, mask, factors), part in zip(rows, outcomes):
+    recorded, connecting, kept, parts = [], [], [], []
+    for row, part in zip(rows, outcomes):
         connected = part.source_side is part.sink_side
         if traced or not (connected or final):
             part = _interned(part, interned)
         if connected:
-            connecting.append(factors)
+            connecting.append(row[3])
         elif not final:
-            offsets.append(offset)
-            masks.append(mask)
-            factors_kept.append(factors)
+            kept.append(row)
             parts.append(part)
         if traced:
             recorded.append(part)
-    return tuple(map(tuple, (recorded, connecting, offsets, masks, factors_kept, parts)))
+    return tuple(recorded), tuple(connecting), tuple(kept), tuple(parts)
 
 
 def _log_stage(
@@ -421,13 +430,24 @@ def initial_stage(
     max_retained: int = DEFAULT_MAX_RETAINED,
     trace: TraceFn | None = None,
 ) -> EngineState:
-    """Full enumeration of the original network.
+    """Full enumeration of the original network, one `add_arc` step per vector.
 
     Visits all 2**m vectors in counting order, as `counting_vectors`
     yields them; feasible vectors contribute their probability and are
     dropped, infeasible ones are retained with their partitions and
     probabilities. The resulting reliability is exact for the original
     network. `trace`, if given, gets one `TraceBlock` per vector.
+
+    The walk holds m + 1 partitions: `stack[j]` is the partition of the
+    current vector's working arcs among arcs j+1..m, so `stack[m]` is
+    the base, the source, the sink and every other node each alone.
+    Vector k > 0, with its lowest set bit at t, agrees with vector
+    k - 1 on arcs t+2..m, sets arc t+1 and clears the arcs below it. So
+    its partition is `add_arc(stack[t + 1], arcs[t])`, and `stack[0..t]`
+    take it. A partition that connects the terminals keeps stepping, so
+    a traced connected vector shows its full components, as
+    `partition_nodes` gives them. `add_arc` goes through this module's
+    globals so instrumentation can rebind it.
     """
     start = time.perf_counter()
     m = net.arc_count
@@ -436,26 +456,35 @@ def initial_stage(
     if m > max_arcs:
         raise CapExceededError(f"network has {m} arcs, enumeration capped at {max_arcs}")
     total = comp = 0.0
-    retained = RetainedSet()
+    retained = RetainedSet(m)
+    masks, partitions = retained.masks, retained.partitions
+    indices, probabilities = retained.indices, retained.probabilities
     interned: dict = {}
+    terminals = NodePartition(frozenset((net.source,)), frozenset((net.sink,)), ())
+    part = add_nodes(terminals, net.nodes - {net.source, net.sink})
+    stack = [part] * (m + 1)
+    arcs = net.arcs
     with _gc_paused():
-        for index, bits in enumerate(counting_vectors(m), start=1):
-            part = partition_nodes(net, bits)
-            connected = is_connected(part)
+        for k, bits in enumerate(counting_vectors(m)):
+            # t + 1 for k's lowest set bit t, and 0 for k = 0, the base.
+            low = (k & -k).bit_length()
+            if low:
+                part = add_arc(stack[low], arcs[low - 1])
             x = vector_probability(bits, net)
-            if connected:
+            if part.source_side is part.sink_side:
                 total, comp = _neumaier_add(total, comp, x)
             else:
                 part = _interned(part, interned)
-                retained.masks.append(index - 1)
-                retained.partitions.append(part)
-                retained.indices.append(index)
-                retained.probabilities.append(x)
-                if len(retained) > max_retained:
+                masks.append(k)
+                partitions.append(part)
+                indices.append(k + 1)
+                probabilities.append(x)
+                if len(masks) > max_retained:
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
+            stack[:low] = [part] * low
             if trace is not None:
-                trace(TraceBlock(0, index, index, bits, _NO_COMBOS, (part,)))
-    _log_stage(0, index, len(retained), 0, time.perf_counter() - start)
+                trace(TraceBlock(0, k + 1, k + 1, bits, _NO_COMBOS, (part,)))
+    _log_stage(0, 1 << m, len(retained), 0, time.perf_counter() - start)
     return EngineState(net, 0, total, comp, retained)
 
 
@@ -478,10 +507,10 @@ def run_expansion(
     One loop visits the retained vectors in order, and one memo, keyed
     on the parent partition, holds one entry per distinct partition:
     the factors of the combinations that connect the terminals, and the
-    position, shifted mask, factors and child partition of each
-    combination the stage keeps. The entry's outcomes come one
-    `add_arc` step per combination from the base (`_outcomes`), and a
-    prefix that already connects is reused. A vector adds its
+    row and child partition of each combination the stage keeps. The
+    rows are the stage's own, shared by every entry. The entry's
+    outcomes come one `add_arc` step per combination from the base
+    (`_outcomes`), and a prefix that already connects is reused. A vector adds its
     connecting products to the sum in combination order and appends
     its kept rows to the new set's columns in bulk. On an untraced
     final stage the entry depends only on the partition projected onto
@@ -513,7 +542,7 @@ def run_expansion(
     combos = (1 << width) - final
 
     total, comp = state.reliability_sum, state.reliability_comp
-    retained = RetainedSet()
+    retained = RetainedSet(new_net.arc_count)
     masks, partitions = retained.masks, retained.partitions
     indices, probabilities = retained.indices, retained.probabilities
     traced = trace is not None
@@ -550,7 +579,7 @@ def run_expansion(
             if traced:
                 head = mask_bits(mask, shift)
             first = base + 1
-            for chunk_combos, (outcomes, connecting, offsets, kept, factors_kept, parts) in chunks:
+            for chunk_combos, (outcomes, connecting, kept, parts) in chunks:
                 if traced:
                     trace(TraceBlock(stage, parent, first, head, chunk_combos, outcomes))
                     first += len(chunk_combos)
@@ -558,10 +587,10 @@ def run_expansion(
                     x = prod(factors, start=probability)
                     total, comp = _neumaier_add(total, comp, x)
                 if parts:
-                    masks += [mask | m for m in kept]
+                    masks.extend([mask | m for _, _, m, _ in kept])
                     partitions += parts
-                    indices.extend([base + offset for offset in offsets])
-                    probabilities.extend([prod(f, start=probability) for f in factors_kept])
+                    indices.extend([base + offset for offset, _, _, _ in kept])
+                    probabilities.extend([prod(f, start=probability) for _, _, _, f in kept])
                     if len(masks) > max_retained:
                         raise CapExceededError(
                             f"retained set exceeds cap of {max_retained} vectors"

@@ -8,6 +8,7 @@ import logging
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,7 @@ from increl import (
     extend_partition_detail,
     full_enumeration_counts,
     initial_stage,
+    is_connected,
     mask_bits,
     partition_nodes,
     project_partition,
@@ -37,7 +39,7 @@ from increl import (
     run_expansion,
     vector_probability,
 )
-from increl.connectivity import add_arc, add_nodes
+from increl.connectivity import NodePartition, add_arc, add_nodes
 from helpers import (
     GRID_STAGES,
     bridge,
@@ -62,6 +64,97 @@ def test_initial_stage_single_arc():
     assert state.reliability == pytest.approx(0.7, abs=1e-15)
     assert [mask_bits(mask, 1) for mask in state.infeasible.masks] == [(0,)]
     assert list(state.infeasible.probabilities) == [vector_probability((0,), net)]
+
+
+def _reference_initial_stage(net):
+    """The plain per-vector loop: one `partition_nodes` sweep per vector.
+
+    Returns the reliability as float hex, the retained vectors as
+    (bits, index, partition, probability as float hex) and every
+    vector's trace row.
+    """
+    total = comp = 0.0
+    retained, rows = [], []
+    for index, bits in enumerate(counting_vectors(net.arc_count), start=1):
+        part = partition_nodes(net, bits)
+        connected = is_connected(part)
+        rows.append(TraceRow(0, index, index, bits, part, connected))
+        x = vector_probability(bits, net)
+        if connected:
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            retained.append((bits, index, part, x.hex()))
+    return (total + comp).hex(), retained, rows
+
+
+@st.composite
+def _networks(draw):
+    """A network of 2..7 nodes and 1..9 arcs; nodes and a terminal may have no arc."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    arcs = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=9, unique=True))
+    source, sink = draw(st.permutations(range(1, n + 1)))[:2]
+    probabilities = draw(st.lists(st.floats(0.0, 1.0), min_size=len(arcs), max_size=len(arcs)))
+    return Network(frozenset(range(1, n + 1)), tuple(arcs), tuple(probabilities), source, sink)
+
+
+# The sink has no arc, and node 4 is isolated.
+@settings(derandomize=True, deadline=None)
+@given(_networks())
+@example(Network(frozenset(range(1, 6)), ((1, 2), (2, 3), (1, 3)), (0.9, 0.5, 0.25), 1, 5))
+def test_stage_zero_walk_matches_the_per_vector_reference(net):
+    reliability, retained, rows = _reference_initial_stage(net)
+    traced_rows = []
+    traced = initial_stage(net, trace=lambda block: traced_rows.extend(block.rows()))
+    untraced = initial_stage(net)
+    # Connected rows included: each outcome holds the exact components.
+    assert traced_rows == rows
+    assert all(row.partition == partition_nodes(net, row.bits) for row in traced_rows)
+    for state in (traced, untraced):
+        assert state.reliability.hex() == reliability
+        assert _retained(state) == retained
+
+
+def test_stage_zero_takes_one_add_arc_step_per_vector(monkeypatch):
+    steps = []
+
+    def counted_step(partition, arc):
+        steps.append(arc)
+        return add_arc(partition, arc)
+
+    def no_sweep(net, bits):
+        raise AssertionError("stage 0 searched the graph")
+
+    monkeypatch.setattr(engine, "add_arc", counted_step)
+    monkeypatch.setattr(engine, "partition_nodes", no_sweep)
+    net = grid_3x3()
+    for trace in (None, lambda block: None):
+        steps.clear()
+        initial_stage(net, trace=trace)
+        assert len(steps) == (1 << net.arc_count) - 1
+        # Vector k steps by the arc of its lowest set bit: arc 1 every other vector.
+        assert collections.Counter(steps)[net.arcs[0]] == 1 << (net.arc_count - 1)
+
+
+def test_stage_zero_holds_a_stack_of_partitions_beyond_its_retained_set():
+    net = grid_3x3()
+
+    def live():
+        # A partition holds frozensets, which stay tracked, so every live one is listed.
+        return sum(type(obj) is NodePartition for obj in gc.get_objects())
+
+    def at_the_last_vector(block):
+        if block.first_index == 1 << net.arc_count:
+            during.append(live())
+
+    during = []
+    before = live()
+    state = initial_stage(net, trace=at_the_last_vector)
+    distinct = len(set(map(id, state.infeasible.partitions)))
+    # The interned retained partitions, the walk's m + 1 and the block's own.
+    assert during[0] - before <= distinct + net.arc_count + 2
 
 
 def test_initial_stage_rejects_arcless_network():
@@ -379,10 +472,53 @@ def test_retained_set_reads_as_the_per_vector_reference_rows():
     retained = state.infeasible
     assert isinstance(retained, RetainedSet)
     assert len(retained) == len(expected) == 58
-    assert type(retained.masks) is type(retained.partitions) is list
-    assert (retained.indices.typecode, retained.probabilities.typecode) == ("q", "d")
+    assert type(retained.partitions) is list
+    columns = (retained.masks, retained.indices, retained.probabilities)
+    assert [column.typecode for column in columns] == ["Q", "q", "d"]
     # Row k is the k-th entry of each column; `_retained` zips them strictly.
     assert _retained(state) == expected
+
+
+def _long_ladder(arc_count):
+    """A ladder cut to `arc_count` arcs: node i on the top rail, i + 40 below it."""
+    arcs = []
+    for i in range(1, 40):
+        arcs += [(i, i + 1), (i, i + 40), (i + 40, i + 41)]
+    arcs = arcs[:arc_count]
+    nodes = frozenset(v for arc in arcs for v in arc)
+    return Network(nodes, tuple(arcs), (0.5,) * arc_count, 1, max(nodes))
+
+
+@pytest.mark.parametrize("arc_count", [63, 65])
+def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
+    assert isinstance(RetainedSet(64).masks, array)
+    assert RetainedSet(64).masks.typecode == "Q"
+    assert type(RetainedSet(65).masks) is list
+    net = _long_ladder(arc_count)
+    rng = random.Random(arc_count)
+    # A few vectors with the source's two arcs failed, so none joins the
+    # terminals, and the last arc working.
+    parents = RetainedSet(arc_count)
+    for index in range(1, 6):
+        bits = (0, 0, *(int(rng.random() < 0.7) for _ in range(arc_count - 3)), 1)
+        part = partition_nodes(net, bits)
+        assert not is_connected(part)
+        parents.masks.append(sum(bit << j for j, bit in enumerate(bits)))
+        parents.partitions.append(part)
+        parents.indices.append(3 * index)
+        parents.probabilities.append(vector_probability(bits, net))
+    assert isinstance(parents.masks, array) is (arc_count <= 64)
+    state = EngineState(net, 0, 0.25, 0.0, parents)
+    # One arc to a new node from the source, one from it to the sink.
+    batch = ((1, 1000, 0.75), (1000, net.sink, 0.5))
+    expansion = Expansion.for_network(net, batch)
+    reliability, retained, rows = _reference_expansion(state, expansion, final=False)
+    grown, result = run_expansion(state, expansion, final=False)
+    assert type(grown.infeasible.masks) is list
+    assert grown.reliability.hex() == reliability
+    assert _retained(grown) == retained
+    assert result.vectors_generated == len(rows) == 5 * 4
+    assert max(grown.infeasible.masks) >= 1 << 64
 
 
 def test_a_slice_of_the_retained_set_runs_a_stage():
@@ -541,7 +677,8 @@ def test_a_dropped_stage_leaves_no_memory_held_by_the_engine():
 
 @pytest.fixture(scope="module")
 def traced_stage2():
-    """What a non-final stage 2 of the 3x3 grid leaves allocated, and its state.
+    """What a non-final stage 2 of the 3x3 grid leaves allocated, its
+    peak of traced bytes, and its state.
 
     The stage runs from the first 1,000 of stage 1's 11,373 vectors:
     every allocation is traced, which makes the full stage some ten
@@ -559,29 +696,40 @@ def traced_stage2():
         grown, _ = run_expansion(state, expansion, final=False)
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(grown.infeasible) > 5000
-    return snapshot, grown
+    return snapshot, peak, grown
 
 
 def test_a_retained_vector_costs_under_200_bytes_of_its_own(traced_stage2):
-    snapshot, grown = traced_stage2
-    # Allocations made by the engine's own lines: each vector's mask and
-    # its slots in the four columns, and the interned copy of each
-    # distinct partition, shared by every vector holding it. About 91 B.
+    snapshot, _, grown = traced_stage2
+    # Allocations made by the engine's own lines: each vector's slots in
+    # the four columns, its mask a machine word, and the interned copy
+    # of each distinct partition, shared by every vector holding it.
+    # About 60 B; a mask as its own int object would add about 30 B.
     own = snapshot.filter_traces([tracemalloc.Filter(True, engine.__file__)])
     per_vector = sum(trace.size for trace in own.traces) / len(grown.infeasible)
-    assert per_vector < 100
+    assert per_vector < 70
 
 
 def test_a_retained_vector_costs_under_300_bytes_in_all(traced_stage2):
-    snapshot, grown = traced_stage2
+    snapshot, _, grown = traced_stage2
     # Every allocation the stage leaves behind, components included: the
     # kernel builds only the components a selected arc joins, and the
-    # engine interns them, so partitions share them. About 127 B.
+    # engine interns them, so partitions share them. About 96 B.
     per_vector = sum(trace.size for trace in snapshot.traces) / len(grown.infeasible)
-    assert per_vector < 135
+    assert per_vector < 105
+
+
+def test_a_stage_peaks_under_160_bytes_per_retained_vector(traced_stage2):
+    _, peak, grown = traced_stage2
+    # The peak adds what the stage drops at its end, the memo above all:
+    # an entry refers to the stage's rows, one pointer per kept row.
+    # About 152 B; copying each kept row's offset, mask and factors
+    # into the entry would add about 18 B.
+    assert peak / len(grown.infeasible) < 160
 
 
 @settings(derandomize=True, deadline=None)
