@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import count
+from itertools import chain, count
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import increl
 from increl.connectivity import NodePartition
@@ -38,7 +38,7 @@ def round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def format_nodes(nodes: frozenset[int]) -> str:
+def format_nodes(nodes: Iterable[int]) -> str:
     """Render a node set for traces, e.g. ``{2 3 5}`` or ``{}``."""
     return "{" + " ".join(map(str, sorted(nodes))) + "}"
 
@@ -72,16 +72,37 @@ def format_trace_row(row: TraceRow) -> str:
     )
 
 
+class _NodeSets(dict):
+    """Each node set's rendering, made on first use and looked up after that."""
+
+    def __missing__(self, nodes: frozenset[int]) -> str:
+        text = self[nodes] = format_nodes(nodes)
+        return text
+
+
 class _SetColumns(dict):
     """Each partition's ``source_set,middle_set,sink_set,connected`` columns.
 
-    Rendered on first use and looked up by value after that.
+    Rendered on first use and looked up by value after that. Partitions
+    share their source and sink sides, so each side's rendering is
+    looked up too.
     """
 
+    def __init__(self) -> None:
+        super().__init__()
+        self.sides = _NodeSets()
+
     def __missing__(self, part: NodePartition) -> str:
+        source, sink = self.sides[part.source_side], self.sides[part.sink_side]
+        # Middle components are disjoint: their nodes, chained, are the middle set.
+        middle = format_nodes(chain.from_iterable(part.middle))
         connected = "Y" if part.source_side is part.sink_side else ""
-        columns = self[part] = f"{_format_sets(part)},{connected}"
+        columns = self[part] = f"{source},{middle},{sink},{connected}"
         return columns
+
+    def clear(self) -> None:
+        super().clear()
+        self.sides.clear()
 
 
 class TraceDirectory:

@@ -23,14 +23,12 @@ starting from the parent plus the batch's new nodes (`add_nodes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from increl.model import Expansion, ExpansionError, Network
 
 
-@dataclass(frozen=True)
-class LayerTrace:
+class LayerTrace(NamedTuple):
     """Layers discovered by a breadth-first sweep from the source.
 
     `layers` starts with {source}; each later layer holds the nodes

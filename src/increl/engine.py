@@ -14,16 +14,19 @@ set wholesale. On the final stage nothing is retained and the all-zero
 combination is skipped outright, since a disconnected graph gains
 nothing from zero new arcs.
 
-The retained set is a `RetainedSet` of four columns: each vector's
-mask, bit k holding the state of arc k+1, its partition, its
-generation index and its probability; row k is the k-th entry of each.
-Masks are machine words while the network has at most 64 arcs.
-An extension ORs the combination's bits, shifted past the existing
-arcs, into the mask and multiplies the parent's probability by the
-new arcs' factors in arc order. That is the order `vector_probability`
-multiplies in, so the product is bit-identical to recomputing it over
-the whole vector, and no stage after the first rebuilds a vector or
-its probability.
+A vector is its parent plus the states of the stage's new arcs, and
+the retained set is stored that way: a `RetainedSet` holds groups, one
+per parent vector that kept a child. A group is the parent's mask, bit
+k holding the state of arc k+1, its probability and the count of
+vectors examined before its children, plus a reference to the memo
+entry's kept rows and child partitions, shared by every parent that
+holds the partition. A child's mask is the parent's ORed with its
+row's combination bits, shifted past the existing arcs, and its
+probability the parent's times the new arcs' factors in arc order.
+That is the order `vector_probability` multiplies in, so the product
+is bit-identical to recomputing it over the whole vector, and no stage
+after the first rebuilds a vector or its probability. Masks are
+machine words while the network has at most 64 arcs.
 
 What a combination does to a vector depends only on the vector's
 partition, and many retained vectors share one. So each stage runs one
@@ -35,21 +38,23 @@ arc: a vector is its predecessor plus one arc, as in a binary-addition
 tree. The entry splits the outcomes into the combinations that connect
 the terminals and the rows the stage keeps, as references to the
 stage's own rows. Every vector holding the partition reuses the entry:
-it adds its connecting products to the sum, then appends its kept rows
-to the new set's columns in bulk. Partitions, and the components inside
-them, are interned by value in one table per stage, so equal ones are
-one object: a partition shares each component with every other
-partition that holds it. The vectors are visited in order and each
-one's rows in combination order, so counts, traces and sums are those
-of the plain per-vector loop.
+it adds its connecting products to the sum, and if it keeps any row
+it becomes one group of the new set. The stage loops over the parent
+groups, and pairs each group's children with their entries once per
+distinct entry the groups refer to. Partitions, and the components
+inside them, are interned by value in one table per stage, so equal
+ones are one object: a partition shares each component with every
+other partition that holds it. The vectors are visited in order and
+each one's rows in combination order, so counts, traces and sums are
+those of the plain per-vector loop.
 
 An untraced final stage only has to know which combinations connect
 the terminals, and that depends only on the partition projected onto
 the terminals and the batch's endpoints. Its memo entry is those
-combinations, computed once per distinct projection, so each retained
-vector visits only the combinations that connect it: distinct
-projections x combinations one-arc steps plus retained + feasible
-vector steps.
+combinations, computed once per distinct projection, and it visits
+only the retained vectors that some combination connects, and of each
+only those combinations: distinct projections x combinations one-arc
+steps plus connected retained + feasible vector steps.
 
 A trace callback gets one `TraceBlock` per parent vector: the entry's
 outcomes and the stage's shared combinations, so tracing adds no
@@ -69,7 +74,6 @@ import sys
 import time
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
 from math import prod
 from operator import getitem
@@ -112,34 +116,72 @@ _MAX_EXPANSION_ARCS = 26
 _WORD_BITS = 64
 
 
-class RetainedSet:
-    """A stage's retained vectors, stored as four parallel columns.
+# One combination of a batch: its 1-based position among the batch's
+# combinations, its bits, its mask shifted past the existing arcs, and
+# its arcs' probability factors in arc order.
+_Row = tuple[int, Bits, int, tuple[float, ...]]
 
-    Row k is `masks[k]`, `partitions[k]`, `indices[k]` and
-    `probabilities[k]`: the vector's arc states as an int, bit j for arc
-    j+1 (`mask_bits` decodes one); its interned partition; its 1-based
-    generation index in the stage that made it, which traces name as a
-    parent (`array('q')`); and its `vector_probability`, to the last bit
-    (`array('d')`). `masks` is an `array('Q')` of machine words while
-    `arc_count`, the network's, is at most 64, and a list of ints past
-    that, since masks then outgrow a word. Either form takes `append`
-    and `extend`.
+# The row of a group that holds one whole vector: no position, bits,
+# mask or factors to add to the group's own.
+_IDENTITY_ROW: _Row = (0, (), 0, ())
+
+
+class RetainedSet:
+    """A stage's retained vectors, stored as groups in four parallel columns.
+
+    Group g is `masks[g]`, `probabilities[g]` (`array('d')`),
+    `bases[g]` (`array('q')`) and `kept[g]`: a vector of the previous
+    stage, as its mask and probability, the count of vectors its stage
+    examined before its own, and the pair (rows, partitions) of the memo
+    entry that extended it, shared by every group the entry made.
+    Vector r of the group has mask `mask | rows[r][2]`, bit j for arc
+    j+1 (`mask_bits` decodes one), the interned partition
+    `partitions[r]`, 1-based generation index `base + rows[r][0]`, which
+    traces name as a parent, and probability `prod(rows[r][3],
+    start=probability)`, its `vector_probability` to the last bit.
+    `rows()` spells the vectors out in generation order, and `len`
+    counts them.
+
+    `append` adds one vector as a group of its own, whose one row is
+    `_IDENTITY_ROW`; such groups share one pair per partition. Stage 0
+    and streamed batches keep their vectors this way. `masks` is an
+    `array('Q')` of machine words while `arc_count`, the network's, is
+    at most 64, and a list of ints past that, since masks then outgrow
+    a word. Either form takes `append`.
     """
 
-    __slots__ = ("masks", "partitions", "indices", "probabilities")
+    __slots__ = ("masks", "probabilities", "bases", "kept", "_singles")
 
     def __init__(self, arc_count: int = 0) -> None:
         self.masks: array | list[int] = array("Q") if arc_count <= _WORD_BITS else []
-        self.partitions: list[NodePartition] = []
-        self.indices = array("q")
         self.probabilities = array("d")
+        self.bases = array("q")
+        self.kept: list[tuple[tuple[_Row, ...], tuple[NodePartition, ...]]] = []
+        self._singles: dict[NodePartition, tuple] = {}
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return sum([len(partitions) for _, partitions in self.kept])
+
+    def append(self, mask: int, partition: NodePartition, index: int, probability: float) -> None:
+        """Add one vector as a group of one row."""
+        single = self._singles.get(partition)
+        if single is None:
+            single = self._singles[partition] = ((_IDENTITY_ROW,), (partition,))
+        self.masks.append(mask)
+        self.probabilities.append(probability)
+        self.bases.append(index)
+        self.kept.append(single)
+
+    def rows(self) -> Iterator[tuple[int, NodePartition, int, float]]:
+        """Each vector's mask, partition, generation index and probability, in order."""
+        for mask, probability, base, (rows, partitions) in zip(
+            self.masks, self.probabilities, self.bases, self.kept
+        ):
+            for (offset, _, row_mask, factors), partition in zip(rows, partitions):
+                yield mask | row_mask, partition, base + offset, prod(factors, start=probability)
 
 
-@dataclass(frozen=True)
-class EngineState:
+class EngineState(NamedTuple):
     """Everything carried between growth stages.
 
     The reliability sum is stored with its compensation term; the
@@ -160,8 +202,7 @@ class EngineState:
         return self.reliability_sum + self.reliability_comp
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     """Per-stage report row: reliability, work counters and wall time.
 
     `partitions_extended` is the size of the stage's memo: the distinct
@@ -186,8 +227,7 @@ class TraceRow(NamedTuple):
     `parent_index` is the generation index of the source vector in the
     previous stage (equal to `index` at stage 0). For connected rows
     the partition shows the merged source/sink component as it stood
-    when the merge was detected. A named tuple rather than a frozen
-    dataclass, because one is built per row.
+    when the merge was detected.
     """
 
     stage: int
@@ -239,21 +279,15 @@ _NO_COMBOS: tuple[Bits, ...] = ((),)
 # to keep memory flat.
 _COMBO_CACHE_WIDTH = 16
 
-# One combination of a batch: its 1-based position among the batch's
-# combinations, its bits, its mask shifted past the existing arcs, and
-# its arcs' probability factors in arc order.
-_Row = tuple[int, Bits, int, tuple[float, ...]]
-
 # What one partition makes of a run of rows: the outcome of each row
 # (filled on a traced stage only), the factors of the rows that connect
-# the terminals, and the rows a non-final stage keeps, as the stage's
-# own row objects, with the child partition of each. Every part is in
-# row order.
+# the terminals, and the pair of the rows a non-final stage keeps, as
+# the stage's own row objects, and the child partition of each. Every
+# part is in row order. The next stage's groups refer to the pair.
 _Entry = tuple[
     tuple[NodePartition, ...],
     tuple[tuple[float, ...], ...],
-    tuple[_Row, ...],
-    tuple[NodePartition, ...],
+    tuple[tuple[_Row, ...], tuple[NodePartition, ...]],
 ]
 
 
@@ -375,9 +409,10 @@ def _entry(
     the terminals exactly when its partition's two sides are one
     object. A traced stage records every outcome. A kept row is the
     row object itself, so an entry adds one reference per kept row and
-    copies none of its parts. Every traced outcome and every kept child
-    is interned with its components, so equal outcomes of different
-    parent partitions are one object.
+    copies none of its parts; the next stage's groups refer to the
+    entry's pair of kept rows and child partitions. Every traced
+    outcome and every kept child is interned with its components, so
+    equal outcomes of different parent partitions are one object.
     """
     recorded, connecting, kept, parts = [], [], [], []
     for row, part in zip(rows, outcomes):
@@ -391,7 +426,7 @@ def _entry(
             parts.append(part)
         if traced:
             recorded.append(part)
-    return tuple(recorded), tuple(connecting), tuple(kept), tuple(parts)
+    return tuple(recorded), tuple(connecting), (tuple(kept), tuple(parts))
 
 
 def _log_stage(
@@ -435,8 +470,9 @@ def initial_stage(
     Visits all 2**m vectors in counting order, as `counting_vectors`
     yields them; feasible vectors contribute their probability and are
     dropped, infeasible ones are retained with their partitions and
-    probabilities. The resulting reliability is exact for the original
-    network. `trace`, if given, gets one `TraceBlock` per vector.
+    probabilities, each as a group of its own (`RetainedSet.append`).
+    The resulting reliability is exact for the original network.
+    `trace`, if given, gets one `TraceBlock` per vector.
 
     The walk holds m + 1 partitions: `stack[j]` is the partition of the
     current vector's working arcs among arcs j+1..m, so `stack[m]` is
@@ -457,8 +493,8 @@ def initial_stage(
         raise CapExceededError(f"network has {m} arcs, enumeration capped at {max_arcs}")
     total = comp = 0.0
     retained = RetainedSet(m)
-    masks, partitions = retained.masks, retained.partitions
-    indices, probabilities = retained.indices, retained.probabilities
+    # Each stage-0 vector is a group of its own.
+    append, groups = retained.append, retained.masks
     interned: dict = {}
     terminals = NodePartition(frozenset((net.source,)), frozenset((net.sink,)), ())
     part = add_nodes(terminals, net.nodes - {net.source, net.sink})
@@ -475,11 +511,8 @@ def initial_stage(
                 total, comp = _neumaier_add(total, comp, x)
             else:
                 part = _interned(part, interned)
-                masks.append(k)
-                partitions.append(part)
-                indices.append(k + 1)
-                probabilities.append(x)
-                if len(masks) > max_retained:
+                append(k, part, k + 1, x)
+                if len(groups) > max_retained:
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
             stack[:low] = [part] * low
             if trace is not None:
@@ -504,26 +537,33 @@ def run_expansion(
     infeasible ones form the next retained set, or are dropped
     entirely on the final stage.
 
-    One loop visits the retained vectors in order, and one memo, keyed
-    on the parent partition, holds one entry per distinct partition:
-    the factors of the combinations that connect the terminals, and the
-    row and child partition of each combination the stage keeps. The
-    rows are the stage's own, shared by every entry. The entry's
-    outcomes come one `add_arc` step per combination from the base
-    (`_outcomes`), and a prefix that already connects is reused. A vector adds its
-    connecting products to the sum in combination order and appends
-    its kept rows to the new set's columns in bulk. On an untraced
-    final stage the entry depends only on the partition projected onto
-    the batch's endpoints and the terminals, so it is computed once per
-    distinct projection, and each vector visits only the combinations
-    that connect it. Each combination's row (position, bits, shifted
-    mask and probability factors) is built once for the stage and
-    dropped with it. Batches wider than `_COMBO_CACHE_WIDTH` arcs are
-    streamed: each vector builds its entry afresh, over chunks of at
-    most 2**`_COMBO_CACHE_WIDTH` rows from one table of as many
-    outcomes, and nothing is memoised, so memory stays flat. The
-    connectivity calls go through this module's globals so
-    instrumentation can rebind them.
+    One loop visits the parent groups in order, and each group's
+    vectors in row order. One memo, keyed on the parent partition,
+    holds one entry per distinct partition: the factors of the
+    combinations that connect the terminals, and the pair of the rows
+    the stage keeps and their child partitions. The rows are the
+    stage's own, shared by every entry. The entry's outcomes come one
+    `add_arc` step per combination from the base (`_outcomes`), and a
+    prefix that already connects is reused. A group's plan, each of its
+    vectors with its entry, is made once per (rows, partitions) pair
+    the groups refer to, keyed by the pair's identity: the parent set
+    keeps the pair alive. A vector adds its connecting products to the
+    sum in combination order, and if it keeps any row it becomes one
+    group of the new set: its mask, its probability, the count of
+    vectors examined before its own, and the entry's pair. On an
+    untraced final stage the entry depends only on the partition
+    projected onto the batch's endpoints and the terminals, so it is
+    computed once per distinct projection; the plan holds only the
+    vectors that some combination connects, and each visits only those
+    combinations. Each combination's row (position, bits, shifted mask
+    and probability factors) is built once for the stage and lives as
+    long as the groups that refer to it. Batches wider than
+    `_COMBO_CACHE_WIDTH` arcs are streamed: each vector builds its entry
+    afresh, over chunks of at most 2**`_COMBO_CACHE_WIDTH` rows from one
+    table of as many outcomes, nothing is memoised, and each kept child
+    becomes a group of its own, so no chunk outlives its vector and
+    memory stays flat. The connectivity calls go through this module's
+    globals so instrumentation can rebind them.
 
     `trace`, if given, gets one `TraceBlock` per retained vector (per
     chunk of a streamed batch), in generation order.
@@ -543,8 +583,8 @@ def run_expansion(
 
     total, comp = state.reliability_sum, state.reliability_comp
     retained = RetainedSet(new_net.arc_count)
-    masks, partitions = retained.masks, retained.partitions
-    indices, probabilities = retained.indices, retained.probabilities
+    masks, probabilities = retained.masks, retained.probabilities
+    bases, groups = retained.bases, retained.kept
     traced = trace is not None
     memoised = width <= _COMBO_CACHE_WIDTH
     projected = final and not traced
@@ -554,50 +594,83 @@ def run_expansion(
     stage_combos = tuple(row[1] for row in rows) if memoised else None
     memo: dict[NodePartition, tuple] = {}
     by_projection: dict[NodePartition, tuple] = {}
+    # Each parent group's rows and the entries of their children, in two
+    # parallel sequences, by the identity of the group's pair, which the
+    # parent set keeps alive.
+    plans: dict[int, tuple] = {}
     interned: dict = {}
-    parents = state.infeasible
-    with _gc_paused():
-        base = 0
-        for mask, partition, parent, probability in zip(
-            parents.masks, parents.partitions, parents.indices, parents.probabilities
-        ):
-            # The entries of the vector's rows, each with the combinations it covers.
-            chunks = memo.get(partition)
-            if chunks is None:
-                target = project_partition(partition, keep) if projected else partition
-                if not memoised:
-                    chunks = _streamed(target, expansion, shift, final, traced, interned)
-                else:
-                    chunks = by_projection.get(target) if projected else None
-                    if chunks is None:
-                        outcomes = _outcomes(target, expansion, width)[final:]
-                        entry = _entry(outcomes, rows, final, traced, interned)
-                        chunks = ((stage_combos, entry),)
-                        if projected:
-                            by_projection[target] = chunks
-                    memo[partition] = chunks
-            if traced:
-                head = mask_bits(mask, shift)
-            first = base + 1
-            for chunk_combos, (outcomes, connecting, kept, parts) in chunks:
-                if traced:
-                    trace(TraceBlock(stage, parent, first, head, chunk_combos, outcomes))
-                    first += len(chunk_combos)
-                for factors in connecting:
-                    x = prod(factors, start=probability)
-                    total, comp = _neumaier_add(total, comp, x)
-                if parts:
-                    masks.extend([mask | m for _, _, m, _ in kept])
-                    partitions += parts
-                    indices.extend([base + offset for offset, _, _, _ in kept])
-                    probabilities.extend([prod(f, start=probability) for _, _, _, f in kept])
-                    if len(masks) > max_retained:
-                        raise CapExceededError(
-                            f"retained set exceeds cap of {max_retained} vectors"
-                        )
-            base += combos
 
-    partitions_extended = len(memo) if memoised else len(parents)
+    def chunks_of(partition: NodePartition):
+        """The entries of a vector's rows, each with the combinations it covers."""
+        chunks = memo.get(partition)
+        if chunks is None:
+            target = project_partition(partition, keep) if projected else partition
+            if not memoised:
+                return _streamed(target, expansion, shift, final, traced, interned)
+            chunks = by_projection.get(target) if projected else None
+            if chunks is None:
+                outcomes = _outcomes(target, expansion, width)[final:]
+                chunks = ((stage_combos, _entry(outcomes, rows, final, traced, interned)),)
+                if projected:
+                    by_projection[target] = chunks
+            memo[partition] = chunks
+        return chunks
+
+    parents = state.infeasible
+    count = 0
+    with _gc_paused():
+        examined = 0
+        for mask, probability, base, group in zip(
+            parents.masks, parents.probabilities, parents.bases, parents.kept
+        ):
+            plan = plans.get(id(group))
+            if plan is None:
+                group_rows, parts = group
+                if not memoised:
+                    plan = group_rows, map(chunks_of, parts)
+                elif projected:
+                    # Nothing is kept: only a connecting child adds anything.
+                    # Built in one pass, since transient copies of every
+                    # group's plan raise the stage's peak memory.
+                    children = zip(group_rows, map(chunks_of, parts))
+                    plan = tuple(zip(*[child for child in children if child[1][0][1][1]]))
+                    plans[id(group)] = plan
+                else:
+                    plan = plans[id(group)] = group_rows, tuple(map(chunks_of, parts))
+            if traced:
+                # The group's vectors extend its mask by their rows' bits.
+                head = mask_bits(mask, shift - len(group[0][0][1]))
+            for (offset, bits, row_mask, factors), chunks in zip(*plan):
+                p = prod(factors, start=probability)
+                first = examined + 1
+                for chunk_combos, (outcomes, connecting, kept) in chunks:
+                    if traced:
+                        parent = base + offset
+                        trace(TraceBlock(stage, parent, first, head + bits, chunk_combos, outcomes))
+                        first += len(chunk_combos)
+                    for f in connecting:
+                        total, comp = _neumaier_add(total, comp, prod(f, start=p))
+                    kept_rows, parts = kept
+                    if parts:
+                        child = mask | row_mask
+                        if memoised:
+                            masks.append(child)
+                            probabilities.append(p)
+                            bases.append(examined)
+                            groups.append(kept)
+                        else:
+                            # The chunk's rows die with it: keep each child whole.
+                            for (o, _, m, f), part in zip(kept_rows, parts):
+                                retained.append(child | m, part, examined + o, prod(f, start=p))
+                        count += len(parts)
+                        if count > max_retained:
+                            raise CapExceededError(
+                                f"retained set exceeds cap of {max_retained} vectors"
+                            )
+                examined += combos
+
+    parent_count = len(parents)
+    partitions_extended = len(memo) if memoised else parent_count
     new_state = EngineState(
         network=new_net,
         stage_index=stage,
@@ -610,8 +683,8 @@ def run_expansion(
         stage_index=stage,
         arc_count=new_net.arc_count,
         reliability=new_state.reliability,
-        infeasible_count=len(retained),
-        vectors_generated=len(parents) * combos,
+        infeasible_count=count,
+        vectors_generated=parent_count * combos,
         elapsed_s=time.perf_counter() - start,
         partitions_extended=partitions_extended,
     )

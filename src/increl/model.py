@@ -10,7 +10,6 @@ built at one stage stays valid as a prefix at every later stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 # One bit per arc, in global arc order. Bit k describes arc k+1.
@@ -53,8 +52,47 @@ def _check_arc(u: int, v: int, pairs: set[frozenset[int]]) -> None:
     pairs.add(pair)
 
 
-@dataclass(frozen=True)
-class Network:
+class _Frozen:
+    """Fields named by `__slots__`, set once and compared, hashed and shown by value.
+
+    The frozen value class that `dataclasses` would generate, without
+    importing it: `dataclasses` pulls in `inspect` and `ast` at every
+    start-up. Two instances are equal when they are of one class and
+    their fields are equal.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Frozen) and other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Network(_Frozen):
     """Undirected simple graph with one working probability per arc.
 
     `nodes` holds every node id known so far, including isolated ones.
@@ -62,17 +100,27 @@ class Network:
     ``probabilities[k-1]``.
     """
 
+    __slots__ = ("nodes", "arcs", "probabilities", "source", "sink")
     nodes: frozenset[int]
     arcs: tuple[tuple[int, int], ...]
     probabilities: tuple[float, ...]
     source: int
     sink: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "arcs", tuple((int(u), int(v)) for u, v in self.arcs))
-        object.__setattr__(
-            self, "probabilities", tuple(_check_probability(p) for p in self.probabilities)
+    def __init__(
+        self,
+        nodes: Iterable[int],
+        arcs: Iterable[tuple[int, int]],
+        probabilities: Iterable[float],
+        source: int,
+        sink: int,
+    ) -> None:
+        self._set(
+            nodes=frozenset(nodes),
+            arcs=tuple((int(u), int(v)) for u, v in arcs),
+            probabilities=tuple(_check_probability(p) for p in probabilities),
+            source=source,
+            sink=sink,
         )
         if len(self.probabilities) != len(self.arcs):
             raise ValueError(
@@ -101,8 +149,7 @@ class Network:
         return frozenset(frozenset(a) for a in self.arcs)
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(_Frozen):
     """A batch of arcs appended to the network in one growth stage.
 
     `new_nodes` are the node ids that did not exist before the batch;
@@ -110,9 +157,18 @@ class Expansion:
     arcs can touch them.
     """
 
+    __slots__ = ("arcs", "probabilities", "new_nodes")
     arcs: tuple[tuple[int, int], ...]
     probabilities: tuple[float, ...]
     new_nodes: frozenset[int]
+
+    def __init__(
+        self,
+        arcs: tuple[tuple[int, int], ...],
+        probabilities: tuple[float, ...],
+        new_nodes: frozenset[int],
+    ) -> None:
+        self._set(arcs=arcs, probabilities=probabilities, new_nodes=new_nodes)
 
     @classmethod
     def for_network(cls, net: Network, specs: Iterable[ArcSpec]) -> "Expansion":

@@ -161,7 +161,7 @@ def scenario_suite():
                     vector_probability(
                         mask_bits(mask, stage_state.network.arc_count), stage_state.network
                     )
-                    for mask in stage_state.infeasible.masks
+                    for mask, _, _, _ in stage_state.infeasible.rows()
                 )
                 residuals.append(abs(stage_state.reliability + held - 1.0))
     elapsed = time.perf_counter() - start

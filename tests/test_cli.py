@@ -1,5 +1,6 @@
 """Command-line behaviour: subcommands, exit codes, formats, traces."""
 
+import collections
 import functools
 import json
 import random
@@ -140,15 +141,20 @@ def test_trace_stage1_row_4(tmp_path, capsys):
 
 
 def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
-    rendered = 0
-    plain = cli._format_sets
+    # Renderings made on a cache miss: a partition's set columns, and a node set.
+    rendered = collections.Counter()
 
-    def counted(part):
-        nonlocal rendered
-        rendered += 1
-        return plain(part)
+    def counted(cache):
+        plain = cache.__missing__
 
-    monkeypatch.setattr(cli, "_format_sets", counted)
+        def render(self, key):
+            rendered[cache] += 1
+            return plain(self, key)
+
+        monkeypatch.setattr(cache, "__missing__", render)
+
+    counted(cli._SetColumns)
+    counted(cli._NodeSets)
     # One directory for both runs: the second run must not see the first's cache.
     trace = cli.TraceDirectory(tmp_path)
     for net, stages in (random_scenario(random.Random(5)), (grid_3x3(), GRID_STAGES)):
@@ -158,14 +164,20 @@ def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
             rows.extend(block.rows())
             trace(block)
 
-        rendered = 0
+        rendered.clear()
         try:
             engine.run(net, stages, trace=collect)
         finally:
             trace.close()
         stage_ids = range(len(stages) + 1)
         distinct = sum(len({r.partition for r in rows if r.stage == k}) for k in stage_ids)
-        assert rendered == distinct < len(rows)
+        assert rendered[cli._SetColumns] == distinct < len(rows)
+        # A source or sink side is rendered once per stage, however many partitions hold it.
+        sides = sum(
+            len({side for r in rows if r.stage == k for side in r.partition[:2]})
+            for k in stage_ids
+        )
+        assert rendered[cli._NodeSets] == sides < 2 * distinct
         for k in stage_ids:
             lines = [cli.TRACE_HEADER] + [cli.format_trace_row(r) for r in rows if r.stage == k]
             assert (tmp_path / f"stage{k}.csv").read_text() == "\n".join(lines) + "\n"

@@ -356,7 +356,7 @@ def test_projection_onto_batch_endpoints_decides_connectivity(seed):
         state, _ = run_expansion(state, Expansion.for_network(state.network, specs), final=False)
     expansion = Expansion.for_network(state.network, stages[-1])
     keep = frozenset({net.source, net.sink}).union(*expansion.arcs)
-    for part in set(state.infeasible.partitions):
+    for part in {part for _, part, _, _ in state.infeasible.rows()}:
         projected = project_partition(part, keep)
         for combo in counting_vectors(expansion.arc_count):
             assert (extend_partition(projected, combo, expansion) is None) == (
@@ -371,7 +371,7 @@ def test_extend_detail_connects_exactly_when_its_sides_are_one_object(seed):
     state = initial_stage(net)
     for k, specs in enumerate(stages):
         expansion = Expansion.for_network(state.network, specs)
-        for part in set(state.infeasible.partitions):
+        for part in {part for _, part, _, _ in state.infeasible.rows()}:
             for combo in counting_vectors(expansion.arc_count):
                 connected, child = extend_partition_detail(part, combo, expansion)
                 assert connected == (child.source_side is child.sink_side)
@@ -387,8 +387,8 @@ def test_extend_detail_shows_the_partition_at_the_arc_that_joins_the_sides(seed)
         expansion = Expansion.for_network(state.network, specs)
         grown = extend_network(state.network, expansion)
         # One vector per distinct partition: the outcome depends on nothing else.
-        retained = state.infeasible
-        for part, mask in dict(zip(retained.partitions, retained.masks)).items():
+        retained = {part: mask for mask, part, _, _ in state.infeasible.rows()}
+        for part, mask in retained.items():
             bits = mask_bits(mask, state.network.arc_count)
             for combo in counting_vectors(expansion.arc_count):
                 connected, merged = extend_partition_detail(part, combo, expansion)
@@ -410,7 +410,7 @@ def test_a_child_shares_every_component_no_selected_arc_touches(seed):
     state = initial_stage(net)
     for specs in stages:
         expansion = Expansion.for_network(state.network, specs)
-        for part in set(state.infeasible.partitions):
+        for part in {part for _, part, _, _ in state.infeasible.rows()}:
             for combo in counting_vectors(expansion.arc_count):
                 _, child = extend_partition_detail(part, combo, expansion)
                 touched = {v for bit, arc in zip(combo, expansion.arcs) if bit for v in arc}

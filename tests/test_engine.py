@@ -1,7 +1,6 @@
 """Staged engine: stage 0, extensions, conservation, caps, traces."""
 
 import collections
-import dataclasses
 import gc
 import inspect
 import logging
@@ -62,8 +61,9 @@ def test_initial_stage_single_arc():
     net = Network(frozenset({1, 2}), ((1, 2),), (0.7,), 1, 2)
     state = initial_stage(net)
     assert state.reliability == pytest.approx(0.7, abs=1e-15)
-    assert [mask_bits(mask, 1) for mask in state.infeasible.masks] == [(0,)]
-    assert list(state.infeasible.probabilities) == [vector_probability((0,), net)]
+    assert [(mask_bits(mask, 1), p) for mask, _, _, p in state.infeasible.rows()] == [
+        ((0,), vector_probability((0,), net))
+    ]
 
 
 def _reference_initial_stage(net):
@@ -152,7 +152,7 @@ def test_stage_zero_holds_a_stack_of_partitions_beyond_its_retained_set():
     during = []
     before = live()
     state = initial_stage(net, trace=at_the_last_vector)
-    distinct = len(set(map(id, state.infeasible.partitions)))
+    distinct = len({id(part) for _, part, _, _ in state.infeasible.rows()})
     # The interned retained partitions, the walk's m + 1 and the block's own.
     assert during[0] - before <= distinct + net.arc_count + 2
 
@@ -271,7 +271,8 @@ def _held(state):
     """Probability mass of the retained vectors, recomputed from their masks."""
     m = state.network.arc_count
     return math.fsum(
-        vector_probability(mask_bits(mask, m), state.network) for mask in state.infeasible.masks
+        vector_probability(mask_bits(mask, m), state.network)
+        for mask, _, _, _ in state.infeasible.rows()
     )
 
 
@@ -321,7 +322,7 @@ def _hand_driven(net, stages):
 
 
 def _comparable(result):
-    row = dataclasses.asdict(result)
+    row = result._asdict()
     del row["elapsed_s"]
     row["reliability"] = result.reliability.hex()
     return row
@@ -388,7 +389,7 @@ def _reference_expansion(state, expansion, final):
     retained, rows = [], []
     generated = 0
     parents = state.infeasible
-    for mask, partition, index in zip(parents.masks, parents.partitions, parents.indices):
+    for mask, partition, index, _ in parents.rows():
         for combo in counting_vectors(expansion.arc_count, skip_zero=final):
             generated += 1
             extended = mask_bits(mask, state.network.arc_count) + combo
@@ -406,22 +407,18 @@ def _reference_expansion(state, expansion, final):
 
 def _retained(state):
     """The retained rows as (bits, index, partition, probability as float hex)."""
-    r, m = state.infeasible, state.network.arc_count
+    m = state.network.arc_count
     return [
         (mask_bits(mask, m), index, part, p.hex())
-        for mask, part, index, p in zip(
-            r.masks, r.partitions, r.indices, r.probabilities, strict=True
-        )
+        for mask, part, index, p in state.infeasible.rows()
     ]
 
 
 def _sliced(retained, piece):
-    """A retained set holding the same slice of each column."""
+    """A retained set holding a slice of the vectors, each a group of its own."""
     part = RetainedSet()
-    part.masks = retained.masks[piece]
-    part.partitions = retained.partitions[piece]
-    part.indices = retained.indices[piece]
-    part.probabilities = retained.probabilities[piece]
+    for row in list(retained.rows())[piece]:
+        part.append(*row)
     return part
 
 
@@ -472,10 +469,12 @@ def test_retained_set_reads_as_the_per_vector_reference_rows():
     retained = state.infeasible
     assert isinstance(retained, RetainedSet)
     assert len(retained) == len(expected) == 58
-    assert type(retained.partitions) is list
-    columns = (retained.masks, retained.indices, retained.probabilities)
+    assert type(retained.kept) is list
+    columns = (retained.masks, retained.bases, retained.probabilities)
     assert [column.typecode for column in columns] == ["Q", "q", "d"]
-    # Row k is the k-th entry of each column; `_retained` zips them strictly.
+    # One group per stage-0 vector that keeps a child, in the stage's order.
+    assert len(retained.masks) == len(retained.kept) < len(retained)
+    # `_retained` spells the groups out as vectors.
     assert _retained(state) == expected
 
 
@@ -503,10 +502,8 @@ def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
         bits = (0, 0, *(int(rng.random() < 0.7) for _ in range(arc_count - 3)), 1)
         part = partition_nodes(net, bits)
         assert not is_connected(part)
-        parents.masks.append(sum(bit << j for j, bit in enumerate(bits)))
-        parents.partitions.append(part)
-        parents.indices.append(3 * index)
-        parents.probabilities.append(vector_probability(bits, net))
+        mask = sum(bit << j for j, bit in enumerate(bits))
+        parents.append(mask, part, 3 * index, vector_probability(bits, net))
     assert isinstance(parents.masks, array) is (arc_count <= 64)
     state = EngineState(net, 0, 0.25, 0.0, parents)
     # One arc to a new node from the source, one from it to the sink.
@@ -518,18 +515,48 @@ def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
     assert grown.reliability.hex() == reliability
     assert _retained(grown) == retained
     assert result.vectors_generated == len(rows) == 5 * 4
-    assert max(grown.infeasible.masks) >= 1 << 64
+    assert max(mask for mask, _, _, _ in grown.infeasible.rows()) >= 1 << 64
 
 
 def test_a_slice_of_the_retained_set_runs_a_stage():
     state = initial_stage(bridge(0.9))
-    state = dataclasses.replace(state, infeasible=_sliced(state.infeasible, slice(5, 12)))
+    state = state._replace(infeasible=_sliced(state.infeasible, slice(5, 12)))
     expansion = Expansion.for_network(state.network, bridge_stages()[0])
     reliability, retained, rows = _reference_expansion(state, expansion, final=False)
     grown, result = run_expansion(state, expansion, final=False)
     assert result.vectors_generated == len(rows) == 7 * 4
     assert grown.reliability.hex() == reliability
     assert _retained(grown) == retained
+
+
+@pytest.mark.parametrize("final", [False, True], ids=["kept", "final"])
+def test_groups_of_equal_partitions_keep_their_own_rows(final):
+    # Vectors 00110 and 00111 of the bridge share one partition, {1} and
+    # {2 3 4}: arc 5 joins two nodes already joined. Each is a group of
+    # the parent 0011 with one row for arc 5, so the groups' pairs hold
+    # equal partitions but not equal rows.
+    net = bridge(0.9)
+    part = partition_nodes(net, (0, 0, 1, 1, 1))
+    assert part == partition_nodes(net, (0, 0, 1, 1, 0)) and not is_connected(part)
+    p = net.probabilities[0]
+    parents = RetainedSet(net.arc_count)
+    for offset, bit in ((1, 0), (2, 1)):
+        parents.masks.append(0b1100)
+        parents.probabilities.append(math.prod((1.0 - p, 1.0 - p, p, p)))
+        parents.bases.append(0)
+        parents.kept.append((((offset, (bit,), bit << 4, (p if bit else 1.0 - p,)),), (part,)))
+    state = EngineState(net, 0, 0.0, 0.0, parents)
+    expansion = Expansion.for_network(net, bridge_stages()[0])
+    reliability, retained, rows = _reference_expansion(state, expansion, final)
+    traced_rows = []
+    traced, _ = run_expansion(
+        state, expansion, final, trace=lambda block: traced_rows.extend(block.rows())
+    )
+    untraced, _ = run_expansion(state, expansion, final)
+    assert traced_rows == rows
+    for got in (traced, untraced):
+        assert got.reliability.hex() == reliability
+        assert _retained(got) == retained
 
 
 def test_a_streamed_batch_is_split_into_chunks_of_the_cache_size(monkeypatch):
@@ -574,10 +601,11 @@ def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
     examined = 0
     for k, specs in enumerate(GRID_STAGES):
         final = k == len(GRID_STAGES) - 1
-        distinct = set(state.infeasible.partitions)
+        partitions = [part for _, part, _, _ in state.infeasible.rows()]
+        distinct = set(partitions)
         # Equal partitions are interned: one object per distinct value,
         # and so are equal components of different partitions.
-        assert len(set(map(id, state.infeasible.partitions))) == len(distinct)
+        assert len(set(map(id, partitions))) == len(distinct)
         components = [c for p in distinct for c in (p.source_side, p.sink_side, *p.middle)]
         assert len({id(c) for c in components}) == len(set(components))
         if final:
@@ -615,22 +643,22 @@ def test_one_arc_steps_give_each_combinations_extension(seed):
         expansion = Expansion.for_network(state.network, specs)
         grown = extend_network(state.network, expansion)
         combos = tuple(counting_vectors(expansion.arc_count))
-        parents, n = state.infeasible, len(combos)
+        parents, n = list(state.infeasible.rows()), len(combos)
         blocks = []
         traced, _ = run_expansion(state, expansion, final, trace=blocks.append)
         kept, _ = run_expansion(state, expansion, final=False)
         untraced, _ = run_expansion(state, expansion, final)
         assert untraced.reliability.hex() == traced.reliability.hex()
-        children = dict(zip(kept.infeasible.indices, kept.infeasible.partitions))
+        children = {index: part for _, part, index, _ in kept.infeasible.rows()}
         # The first vector holding each distinct partition, with its block.
         first = {}
-        for position, (part, block) in enumerate(zip(parents.partitions, blocks, strict=True)):
-            first.setdefault(part, (position, block))
-        for part, (position, block) in first.items():
+        for position, ((mask, part, _, _), block) in enumerate(zip(parents, blocks, strict=True)):
+            first.setdefault(part, (position, mask, block))
+        for part, (position, mask, block) in first.items():
             assert block.combos == combos[final:]
             traced_outcomes = [extend_partition_detail(part, c, expansion)[1] for c in combos]
             assert block.outcomes == tuple(traced_outcomes[final:])
-            bits = mask_bits(parents.masks[position], state.network.arc_count)
+            bits = mask_bits(mask, state.network.arc_count)
             for j, (combo, outcome) in enumerate(zip(combos, traced_outcomes)):
                 child = extend_partition(part, combo, expansion)
                 assert children.get(position * n + j + 1) == child
@@ -657,6 +685,78 @@ def test_streamed_batch_matches_the_same_arcs_split_in_two():
     assert split[2].vectors_generated == split[1].infeasible_count * ((1 << 8) - 1)
 
 
+def _rows_held(grown):
+    """The bytes of the combinations' rows that a stage leaves allocated."""
+    gc.collect()  # also empties the tuple free lists, which tracemalloc counts
+    snapshot = tracemalloc.take_snapshot()
+    lines, first = inspect.getsourcelines(engine._rows)
+    made_by_rows = snapshot.filter_traces(
+        [tracemalloc.Filter(True, engine.__file__, lineno) for lineno in range(first, first + len(lines))]
+    )
+    return sum(trace.size for trace in made_by_rows.traces)
+
+
+@pytest.mark.parametrize("cache_width, streamed", [(16, False), (1, True)])
+def test_a_streamed_stage_leaves_no_row_alive(cache_width, streamed, monkeypatch):
+    # The bridge's first batch has two arcs: memoised at the default
+    # width, and streamed in chunks of two rows past a width of 1.
+    monkeypatch.setattr(engine, "_COMBO_CACHE_WIDTH", cache_width)
+    state = initial_stage(bridge(0.9))
+    expansion = Expansion.for_network(state.network, bridge_stages()[0])
+    _, expected, _ = _reference_expansion(state, expansion, final=False)
+    tracemalloc.start()
+    try:
+        grown, _ = run_expansion(state, expansion, final=False)
+        held = _rows_held(grown)
+    finally:
+        tracemalloc.stop()
+    assert _retained(grown) == expected
+    groups = grown.infeasible.kept
+    if streamed:
+        # A streamed chunk's rows are built afresh for each vector, so
+        # each kept child is a group of its own and no row outlives its chunk.
+        assert held == 0
+        assert all(rows == (engine._IDENTITY_ROW,) for rows, _ in groups)
+        assert len(groups) == len(grown.infeasible)
+    else:
+        # A memoised stage's groups share the stage's rows.
+        assert held > 0
+        assert len(groups) < len(grown.infeasible)
+
+
+def test_an_untraced_final_stage_prices_only_the_children_it_connects(monkeypatch):
+    net = grid_3x3()
+    state = initial_stage(net)
+    state, _ = run_expansion(
+        state, Expansion.for_network(state.network, GRID_STAGES[0]), final=False
+    )
+    # Three arcs, so a child's two row factors tell its product from a combination's.
+    expansion = Expansion.for_network(state.network, GRID_STAGES[1])
+    # Each retained vector's connecting combinations, from its partition.
+    connects = {}
+    for _, part, _, _ in state.infeasible.rows():
+        if part not in connects:
+            combos = counting_vectors(expansion.arc_count, skip_zero=True)
+            connects[part] = sum(extend_partition(part, c, expansion) is None for c in combos)
+    counts = [connects[part] for _, part, _, _ in state.infeasible.rows()]
+    reliability, _, _ = _reference_expansion(state, expansion, final=True)
+    products = []
+
+    def counted(factors, start):
+        products.append(len(factors))
+        return math.prod(factors, start=start)
+
+    monkeypatch.setattr(engine, "prod", counted)
+    grown, result = run_expansion(state, expansion, final=True)
+    assert grown.reliability.hex() == reliability
+    children = sum(count > 0 for count in counts)
+    assert 0 < children < len(counts) == 11373
+    # One product per child that some combination connects, for its
+    # probability, and one per combination that connects it.
+    assert len(products) == children + sum(counts)
+    assert products.count(len(GRID_STAGES[0])) == children
+
+
 def test_a_dropped_stage_leaves_no_memory_held_by_the_engine():
     # One arc between the terminals, then a 12-arc batch: 4,096 combinations,
     # about 0.6 MB of tuples if the engine kept them past the stage.
@@ -680,8 +780,8 @@ def traced_stage2():
     """What a non-final stage 2 of the 3x3 grid leaves allocated, its
     peak of traced bytes, and its state.
 
-    The stage runs from the first 1,000 of stage 1's 11,373 vectors:
-    every allocation is traced, which makes the full stage some ten
+    The stage runs from the first 1,000 of stage 1's 11,373 vectors,
+    each held as a group of its own: every allocation is traced, which makes the full stage some ten
     times slower.
     """
     state = initial_stage(grid_3x3())
@@ -689,7 +789,7 @@ def traced_stage2():
         state, Expansion.for_network(state.network, GRID_STAGES[0]), final=False
     )
     expansion = Expansion.for_network(state.network, GRID_STAGES[1])
-    state = dataclasses.replace(state, infeasible=_sliced(state.infeasible, slice(1000)))
+    state = state._replace(infeasible=_sliced(state.infeasible, slice(1000)))
     gc.collect()
     tracemalloc.start()
     try:
@@ -705,31 +805,33 @@ def traced_stage2():
 
 def test_a_retained_vector_costs_under_200_bytes_of_its_own(traced_stage2):
     snapshot, _, grown = traced_stage2
-    # Allocations made by the engine's own lines: each vector's slots in
-    # the four columns, its mask a machine word, and the interned copy
+    # Allocations made by the engine's own lines: each group's slots in
+    # the four columns, its mask a machine word, shared by the group's
+    # vectors; the kept rows and child partitions of each memo entry,
+    # shared by every group that refers to them; and the interned copy
     # of each distinct partition, shared by every vector holding it.
-    # About 60 B; a mask as its own int object would add about 30 B.
+    # About 53 B; four column slots per vector, as before groups, read 60 B.
     own = snapshot.filter_traces([tracemalloc.Filter(True, engine.__file__)])
     per_vector = sum(trace.size for trace in own.traces) / len(grown.infeasible)
-    assert per_vector < 70
+    assert per_vector < 58
 
 
 def test_a_retained_vector_costs_under_300_bytes_in_all(traced_stage2):
     snapshot, _, grown = traced_stage2
     # Every allocation the stage leaves behind, components included: the
     # kernel builds only the components a selected arc joins, and the
-    # engine interns them, so partitions share them. About 96 B.
+    # engine interns them, so partitions share them. About 89 B.
     per_vector = sum(trace.size for trace in snapshot.traces) / len(grown.infeasible)
-    assert per_vector < 105
+    assert per_vector < 95
 
 
 def test_a_stage_peaks_under_160_bytes_per_retained_vector(traced_stage2):
     _, peak, grown = traced_stage2
     # The peak adds what the stage drops at its end, the memo above all:
     # an entry refers to the stage's rows, one pointer per kept row.
-    # About 152 B; copying each kept row's offset, mask and factors
+    # About 142 B; copying each kept row's offset, mask and factors
     # into the entry would add about 18 B.
-    assert peak / len(grown.infeasible) < 160
+    assert peak / len(grown.infeasible) < 150
 
 
 @settings(derandomize=True, deadline=None)
@@ -742,8 +844,8 @@ def test_retained_masks_carry_exact_probabilities_and_partitions(seed):
         if specs:
             expansion = Expansion.for_network(state.network, specs)
             state, _ = run_expansion(state, expansion, final=False)
-        m, r = state.network.arc_count, state.infeasible
-        for mask, partition, probability in zip(r.masks, r.partitions, r.probabilities):
+        m = state.network.arc_count
+        for mask, partition, _, probability in state.infeasible.rows():
             bits = mask_bits(mask, m)
             assert probability.hex() == vector_probability(bits, state.network).hex()
             assert partition == partition_nodes(state.network, bits)

@@ -1,7 +1,9 @@
 """Domain types: validation, probabilities, vector concatenation."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -193,3 +195,30 @@ def test_extend_network_rejects_an_arc_to_an_unknown_node():
     foreign = Expansion(((2, 5), (5, 6)), (0.9, 0.9), frozenset({5}))
     with pytest.raises(ExpansionError, match=r"arc \(5, 6\) references an unknown node"):
         extend_network(bridge(), foreign)
+
+
+def test_networks_and_expansions_are_frozen_values():
+    net = bridge()
+    twin = Network({4, 3, 2, 1}, list(net.arcs), list(net.probabilities), 1, 4)
+    batch = Expansion.for_network(net, ((2, 5, 0.9), (4, 5, 0.9)))
+    assert twin == net and hash(twin) == hash(net) and twin is not net
+    assert net != bridge(0.8)
+    assert batch == Expansion(((2, 5), (4, 5)), (0.9, 0.9), frozenset({5}))
+    assert len({net, twin, batch}) == 2
+    # Equal only to their own class: not to a tuple of the same fields.
+    assert net != (net.nodes, net.arcs, net.probabilities, net.source, net.sink)
+    assert repr(batch) == (
+        "Expansion(arcs=((2, 5), (4, 5)), probabilities=(0.9, 0.9), new_nodes=frozenset({5}))"
+    )
+    assert repr(Network({1, 2}, [(1, 2)], [0.5], 1, 2)) == (
+        "Network(nodes=frozenset({1, 2}), arcs=((1, 2),), probabilities=(0.5,), source=1, sink=2)"
+    )
+    for value, field in ((net, "source"), (batch, "arcs")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) == value == copy.deepcopy(value)

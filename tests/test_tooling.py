@@ -47,6 +47,20 @@ def test_a_failing_property_is_reported_and_every_other_warning_still_fails(tmp_
     assert "2 failed, 1 passed" in done.stdout
 
 
+def test_importing_the_package_and_its_cli_loads_neither_dataclasses_nor_inspect():
+    # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`: about
+    # 1 MB of resident memory and several milliseconds of every start-up.
+    # `-S` leaves out what site hooks of the environment import.
+    src = str(PYPROJECT.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import increl, increl.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_the_benchmark_job_writes_the_bridge_trace_goldens(tmp_path):
     root = PYPROJECT.parent
     trace = tmp_path / "trace"
