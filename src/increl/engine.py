@@ -74,7 +74,6 @@ import sys
 import time
 from array import array
 from contextlib import contextmanager
-from itertools import islice
 from math import prod
 from operator import getitem
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -107,11 +106,16 @@ from increl.model import (
 )
 
 DEFAULT_MAX_ARCS = 30
-# About 2.6 GB at the 155 B of resident memory a retained vector was
-# measured to cost on a 4x4 grid (469 MB for 3.03M vectors), so the cap
-# trips before an 8 GB machine runs out of memory.
+# About 1.6 GB at the 94 B of resident memory a retained vector was
+# measured to cost on a 4x4 grid grown one node per batch (284 MB for
+# 3.03M vectors), so the cap trips before an 8 GB machine runs out of
+# memory.
 DEFAULT_MAX_RETAINED = 1 << 24
-_MAX_EXPANSION_ARCS = 26
+# A stage builds one row per combination of its batch and memoises each
+# partition's outcome of every combination, so a batch may add at most
+# this many arcs: 2**16 rows. A wider batch is refused; the same arcs
+# split across several batches give the same reliability, up to rounding.
+_MAX_BATCH_ARCS = 16
 # The bits of an `array('Q')` item: masks of wider networks are ints.
 _WORD_BITS = 64
 
@@ -144,10 +148,10 @@ class RetainedSet:
 
     `append` adds one vector as a group of its own, whose one row is
     `_IDENTITY_ROW`; such groups share one pair per partition. Stage 0
-    and streamed batches keep their vectors this way. `masks` is an
-    `array('Q')` of machine words while `arc_count`, the network's, is
-    at most 64, and a list of ints past that, since masks then outgrow
-    a word. Either form takes `append`.
+    keeps its vectors this way. `masks` is an `array('Q')` of machine
+    words while `arc_count`, the network's, is at most 64, and a list
+    of ints past that, since masks then outgrow a word. Either form
+    takes `append`.
     """
 
     __slots__ = ("masks", "probabilities", "bases", "kept", "_singles")
@@ -206,10 +210,9 @@ class StageResult(NamedTuple):
     """Per-stage report row: reliability, work counters and wall time.
 
     `partitions_extended` is the size of the stage's memo: the distinct
-    parent partitions, or every retained vector's for a batch too wide
-    to memoise. An untraced final stage runs its combinations against
-    the partitions' projections, fewer still, but counts the distinct
-    parent partitions all the same. It is 0 at stage 0.
+    parent partitions. An untraced final stage runs its combinations
+    against the partitions' projections, fewer still, but counts the
+    distinct parent partitions all the same. It is 0 at stage 0.
     """
 
     stage_index: int
@@ -244,12 +247,12 @@ class TraceBlock(NamedTuple):
     Row i is the vector `head + combos[i]`, with generation index
     `first_index + i` and partition `outcomes[i]`; it connects the
     terminals exactly when that partition's two sides are one object.
-    A growth stage hands over one block per retained parent vector
-    (per chunk of a streamed batch), and the blocks of a memoised stage
-    share one `combos` tuple. Stage 0 hands over one block per vector, with
-    the whole vector as `head` and the single empty combination. A
-    block is built from objects the stage holds anyway, so a callback
-    that keeps no reference to it leaves nothing behind.
+    A growth stage hands over one block per retained parent vector,
+    and its blocks share one `combos` tuple. Stage 0 hands over one
+    block per vector, with the whole vector as `head` and the single
+    empty combination. A block is built from objects the stage holds
+    anyway, so a callback that keeps no reference to it leaves nothing
+    behind.
     """
 
     stage: int
@@ -273,13 +276,7 @@ TraceFn = Callable[[TraceBlock], None]
 # The combinations of a stage-0 block: the vector is all head.
 _NO_COMBOS: tuple[Bits, ...] = ((),)
 
-# A stage whose batch is at most this wide enumerates its combinations
-# once, for the stage only, and memoises their outcomes per partition;
-# a wider batch is streamed in chunks of at most 2**this combinations,
-# to keep memory flat.
-_COMBO_CACHE_WIDTH = 16
-
-# What one partition makes of a run of rows: the outcome of each row
+# What one partition makes of the stage's rows: the outcome of each row
 # (filled on a traced stage only), the factors of the rows that connect
 # the terminals, and the pair of the rows a non-final stage keeps, as
 # the stage's own row objects, and the child partition of each. Every
@@ -318,13 +315,6 @@ def _rows(expansion: Expansion, shift: int, final: bool) -> Iterator[_Row]:
         yield k + 1 - final, combo, k << shift, tuple(map(getitem, choices, combo))
 
 
-def _chunks(rows: Iterator[_Row]) -> Iterator[tuple[_Row, ...]]:
-    """Consecutive runs of at most 2**`_COMBO_CACHE_WIDTH` rows."""
-    size = 1 << _COMBO_CACHE_WIDTH
-    while chunk := tuple(islice(rows, size)):
-        yield chunk
-
-
 def _interned(part: NodePartition, table: dict) -> NodePartition:
     """The table's partition equal to `part`, adding it if it is new.
 
@@ -346,8 +336,8 @@ def _interned(part: NodePartition, table: dict) -> NodePartition:
     return found
 
 
-def _outcomes(partition: NodePartition, expansion: Expansion, width: int) -> list[NodePartition]:
-    """The partition of each combination of the batch's first `width` arcs.
+def _outcomes(partition: NodePartition, expansion: Expansion) -> list[NodePartition]:
+    """The partition of each combination of the batch's arcs.
 
     In counting order. Combination 0 is the base: the partition plus
     the batch's new nodes. Combination k is its prefix, k without its
@@ -358,42 +348,9 @@ def _outcomes(partition: NodePartition, expansion: Expansion, width: int) -> lis
     combination instead of one per selected arc.
     """
     outcomes = [add_nodes(partition, expansion.new_nodes)]
-    for arc in expansion.arcs[:width]:
+    for arc in expansion.arcs:
         outcomes += [p if p.source_side is p.sink_side else add_arc(p, arc) for p in outcomes]
     return outcomes
-
-
-def _streamed(
-    partition: NodePartition,
-    expansion: Expansion,
-    shift: int,
-    final: bool,
-    traced: bool,
-    interned: dict,
-) -> Iterator[tuple[tuple[Bits, ...], _Entry]]:
-    """The combinations and entry of each chunk of a batch too wide to memoise.
-
-    One table covers the batch's first `_COMBO_CACHE_WIDTH` arcs, one
-    chunk's worth. A combination takes those arcs first in arc order,
-    so its partition is the table's for them, folded over its other
-    arcs until the sides join.
-    """
-    low = _COMBO_CACHE_WIDTH
-    table = _outcomes(partition, expansion, low)
-    high = expansion.arcs[low:]
-
-    def outcomes(chunk: tuple[_Row, ...]) -> Iterator[NodePartition]:
-        for offset, combo, _, _ in chunk:
-            # The row's combination number is offset - 1 + final.
-            part = table[(offset - 1 + final) % len(table)]
-            for bit, arc in zip(combo[low:], high):
-                if bit and part.source_side is not part.sink_side:
-                    part = add_arc(part, arc)
-            yield part
-
-    for chunk in _chunks(_rows(expansion, shift, final)):
-        combos = tuple(row[1] for row in chunk)
-        yield combos, _entry(outcomes(chunk), chunk, final, traced, interned)
 
 
 def _entry(
@@ -557,24 +514,24 @@ def run_expansion(
     vectors that some combination connects, and each visits only those
     combinations. Each combination's row (position, bits, shifted mask
     and probability factors) is built once for the stage and lives as
-    long as the groups that refer to it. Batches wider than
-    `_COMBO_CACHE_WIDTH` arcs are streamed: each vector builds its entry
-    afresh, over chunks of at most 2**`_COMBO_CACHE_WIDTH` rows from one
-    table of as many outcomes, nothing is memoised, and each kept child
-    becomes a group of its own, so no chunk outlives its vector and
-    memory stays flat. The connectivity calls go through this module's
-    globals so instrumentation can rebind them.
+    long as the groups that refer to it. The connectivity calls go
+    through this module's globals so instrumentation can rebind them.
 
-    `trace`, if given, gets one `TraceBlock` per retained vector (per
-    chunk of a streamed batch), in generation order.
+    A batch of more than 16 arcs (`_MAX_BATCH_ARCS`) raises
+    `CapExceededError` before any work; split it across several
+    batches.
+
+    `trace`, if given, gets one `TraceBlock` per retained vector, in
+    generation order.
     """
     start = time.perf_counter()
     if state.finalized:
         raise ExpansionError("the final stage has already run")
     width = expansion.arc_count
-    if width > _MAX_EXPANSION_ARCS:
+    if width > _MAX_BATCH_ARCS:
         raise CapExceededError(
-            f"expansion adds {width} arcs, combination count would exceed 2**{_MAX_EXPANSION_ARCS}"
+            f"expansion adds {width} arcs, {1 << width} combinations per retained vector;"
+            f" split the batch across INC files of at most {_MAX_BATCH_ARCS} arcs"
         )
     new_net = extend_network(state.network, expansion)
     stage = state.stage_index + 1
@@ -586,35 +543,31 @@ def run_expansion(
     masks, probabilities = retained.masks, retained.probabilities
     bases, groups = retained.bases, retained.kept
     traced = trace is not None
-    memoised = width <= _COMBO_CACHE_WIDTH
     projected = final and not traced
     keep = frozenset((new_net.source, new_net.sink)).union(*expansion.arcs)
-    # None for a streamed batch, which enumerates afresh for each vector.
-    rows = tuple(_rows(expansion, shift, final)) if memoised else None
-    stage_combos = tuple(row[1] for row in rows) if memoised else None
-    memo: dict[NodePartition, tuple] = {}
-    by_projection: dict[NodePartition, tuple] = {}
+    rows = tuple(_rows(expansion, shift, final))
+    stage_combos = tuple(row[1] for row in rows)
+    memo: dict[NodePartition, _Entry] = {}
+    by_projection: dict[NodePartition, _Entry] = {}
     # Each parent group's rows and the entries of their children, in two
     # parallel sequences, by the identity of the group's pair, which the
     # parent set keeps alive.
     plans: dict[int, tuple] = {}
     interned: dict = {}
 
-    def chunks_of(partition: NodePartition):
-        """The entries of a vector's rows, each with the combinations it covers."""
-        chunks = memo.get(partition)
-        if chunks is None:
+    def entry_of(partition: NodePartition) -> _Entry:
+        """What the stage's rows make of a vector's partition."""
+        entry = memo.get(partition)
+        if entry is None:
             target = project_partition(partition, keep) if projected else partition
-            if not memoised:
-                return _streamed(target, expansion, shift, final, traced, interned)
-            chunks = by_projection.get(target) if projected else None
-            if chunks is None:
-                outcomes = _outcomes(target, expansion, width)[final:]
-                chunks = ((stage_combos, _entry(outcomes, rows, final, traced, interned)),)
+            entry = by_projection.get(target) if projected else None
+            if entry is None:
+                outcomes = _outcomes(target, expansion)[final:]
+                entry = _entry(outcomes, rows, final, traced, interned)
                 if projected:
-                    by_projection[target] = chunks
-            memo[partition] = chunks
-        return chunks
+                    by_projection[target] = entry
+            memo[partition] = entry
+        return entry
 
     parents = state.infeasible
     count = 0
@@ -626,51 +579,39 @@ def run_expansion(
             plan = plans.get(id(group))
             if plan is None:
                 group_rows, parts = group
-                if not memoised:
-                    plan = group_rows, map(chunks_of, parts)
-                elif projected:
+                if projected:
                     # Nothing is kept: only a connecting child adds anything.
                     # Built in one pass, since transient copies of every
                     # group's plan raise the stage's peak memory.
-                    children = zip(group_rows, map(chunks_of, parts))
-                    plan = tuple(zip(*[child for child in children if child[1][0][1][1]]))
-                    plans[id(group)] = plan
+                    children = zip(group_rows, map(entry_of, parts))
+                    plan = tuple(zip(*[child for child in children if child[1][1]]))
                 else:
-                    plan = plans[id(group)] = group_rows, tuple(map(chunks_of, parts))
+                    plan = group_rows, tuple(map(entry_of, parts))
+                plans[id(group)] = plan
             if traced:
                 # The group's vectors extend its mask by their rows' bits.
                 head = mask_bits(mask, shift - len(group[0][0][1]))
-            for (offset, bits, row_mask, factors), chunks in zip(*plan):
+            for (offset, bits, row_mask, factors), (outcomes, connecting, kept) in zip(*plan):
                 p = prod(factors, start=probability)
-                first = examined + 1
-                for chunk_combos, (outcomes, connecting, kept) in chunks:
-                    if traced:
-                        parent = base + offset
-                        trace(TraceBlock(stage, parent, first, head + bits, chunk_combos, outcomes))
-                        first += len(chunk_combos)
-                    for f in connecting:
-                        total, comp = _neumaier_add(total, comp, prod(f, start=p))
-                    kept_rows, parts = kept
-                    if parts:
-                        child = mask | row_mask
-                        if memoised:
-                            masks.append(child)
-                            probabilities.append(p)
-                            bases.append(examined)
-                            groups.append(kept)
-                        else:
-                            # The chunk's rows die with it: keep each child whole.
-                            for (o, _, m, f), part in zip(kept_rows, parts):
-                                retained.append(child | m, part, examined + o, prod(f, start=p))
-                        count += len(parts)
-                        if count > max_retained:
-                            raise CapExceededError(
-                                f"retained set exceeds cap of {max_retained} vectors"
-                            )
+                if traced:
+                    parent, first = base + offset, examined + 1
+                    trace(TraceBlock(stage, parent, first, head + bits, stage_combos, outcomes))
+                for f in connecting:
+                    total, comp = _neumaier_add(total, comp, prod(f, start=p))
+                if kept[1]:
+                    masks.append(mask | row_mask)
+                    probabilities.append(p)
+                    bases.append(examined)
+                    groups.append(kept)
+                    count += len(kept[1])
+                    if count > max_retained:
+                        raise CapExceededError(
+                            f"retained set exceeds cap of {max_retained} vectors"
+                        )
                 examined += combos
 
     parent_count = len(parents)
-    partitions_extended = len(memo) if memoised else parent_count
+    partitions_extended = len(memo)
     new_state = EngineState(
         network=new_net,
         stage_index=stage,

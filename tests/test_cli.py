@@ -91,6 +91,19 @@ def test_run_bridge_counts(capsys):
     assert "reliability: 0.98872974" in out
 
 
+def test_run_refuses_a_batch_over_16_arcs(tmp_path, capsys):
+    net = tmp_path / "one.net"
+    net.write_text("nodes 2\narc 1 2 0.7\n")
+    arcs = [(1, v) for v in range(3, 12)] + [(v, 2) for v in range(3, 11)]
+    wide = tmp_path / "wide.inc"
+    wide.write_text("".join(f"arc {u} {v} 0.5\n" for u, v in arcs))
+    assert len(arcs) == 17
+    code, out, err = run_cli(capsys, "run", str(net), str(wide))
+    assert code == 2
+    assert out == ""
+    assert "split" in err
+
+
 def test_run_naive_column(capsys):
     code, out, _ = run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--naive")
     assert code == 0

@@ -428,37 +428,32 @@ _SMALL_CASES = [("bridge", bridge(0.9), bridge_stages())] + [
 
 
 @pytest.mark.parametrize(
-    "net, stages, cache_width",
-    [pytest.param(net, stages, None, id=name) for name, net, stages in _SMALL_CASES]
-    + [pytest.param(grid_3x3(), GRID_STAGES, None, id="grid-3x3")]
-    + [pytest.param(net, stages, 0, id=f"{name}-streamed") for name, net, stages in _SMALL_CASES]
-    + [pytest.param(net, stages, 1, id=f"{name}-chunked") for name, net, stages in _SMALL_CASES],
+    "net, stages, split",
+    [pytest.param(net, stages, False, id=name) for name, net, stages in _SMALL_CASES]
+    + [pytest.param(grid_3x3(), GRID_STAGES, False, id="grid-3x3")]
+    + [pytest.param(net, stages, True, id=f"{name}-split") for name, net, stages in _SMALL_CASES],
 )
-def test_run_expansion_matches_per_vector_reference(net, stages, cache_width, monkeypatch):
-    if cache_width is not None:
-        # 0: every batch is wider than the cache, so nothing is memoised
-        # or projected, and each chunk holds one row. 1: a batch of two
-        # or more arcs is streamed in chunks of two rows, so a chunk
-        # boundary falls inside each vector's rows.
-        monkeypatch.setattr(engine, "_COMBO_CACHE_WIDTH", cache_width)
+def test_run_expansion_matches_per_vector_reference(net, stages, split):
+    # Split: the same arcs in the same order, one per batch, so only the
+    # last arc's stage is final.
+    batches = [[spec] for batch in stages for spec in batch] if split else stages
     state = initial_stage(net)
-    for k, specs in enumerate(stages):
-        final = k == len(stages) - 1
+    for k, specs in enumerate(batches):
+        final = k == len(batches) - 1
         expansion = Expansion.for_network(state.network, specs)
         reliability, retained, rows = _reference_expansion(state, expansion, final)
         traced_rows = []
         traced, _ = run_expansion(
             state, expansion, final, trace=lambda block: traced_rows.extend(block.rows())
         )
-        parent_count = len(state.infeasible)
         state, result = run_expansion(state, expansion, final)
         assert traced_rows == rows
         assert result.vectors_generated == len(rows)
-        if len(specs) > engine._COMBO_CACHE_WIDTH:
-            assert result.partitions_extended == parent_count
         for got in (state, traced):
             assert got.reliability.hex() == reliability
             assert _retained(got) == retained
+    if split:
+        assert state.reliability == pytest.approx(run(net, stages)[-1].reliability, abs=1e-12)
 
 
 def test_retained_set_reads_as_the_per_vector_reference_rows():
@@ -559,25 +554,6 @@ def test_groups_of_equal_partitions_keep_their_own_rows(final):
         assert _retained(got) == retained
 
 
-def test_a_streamed_batch_is_split_into_chunks_of_the_cache_size(monkeypatch):
-    chunks = []
-
-    def recording(partition, rows, *args):
-        chunks.append([offset for offset, _, _, _ in rows])
-        return entry(partition, rows, *args)
-
-    entry = engine._entry
-    monkeypatch.setattr(engine, "_entry", recording)
-    monkeypatch.setattr(engine, "_COMBO_CACHE_WIDTH", 1)
-    state = initial_stage(bridge(0.9))
-    three = ((2, 5, 0.9), (4, 5, 0.9), (3, 5, 0.9))
-    expansion = Expansion.for_network(state.network, three)
-    _, result = run_expansion(state, expansion, final=True)
-    assert result.vectors_generated == 16 * 7
-    # Each of the 16 vectors builds its entries afresh, two rows at a time.
-    assert chunks == [[1, 2], [3, 4], [5, 6], [7]] * 16
-
-
 def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
     # One entry per base, in the order the bases are built: the add_arc
     # steps taken from it, and whether one of them started from a
@@ -668,21 +644,54 @@ def test_one_arc_steps_give_each_combinations_extension(seed):
         state = kept
 
 
-def test_streamed_batch_matches_the_same_arcs_split_in_two():
-    # One arc between the terminals; its off state is the only retained vector.
-    net = Network(frozenset({1, 2}), ((1, 2),), (0.7,), 1, 2)
-    first = ((1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 2), (1, 6), (6, 2), (3, 4))
-    second = ((4, 5), (5, 6), (1, 7), (7, 2), (7, 3), (1, 8), (8, 2), (8, 6))
-    p = [0.5 + 0.025 * k for k in range(17)]
-    batch = [(u, v, q) for (u, v), q in zip(first + second, p)]
-    assert len(batch) > engine._COMBO_CACHE_WIDTH
-    whole = run(net, [batch])
-    split = run(net, [batch[:9], batch[9:]])
-    assert whole[-1].reliability == pytest.approx(split[-1].reliability, abs=1e-12)
-    assert whole[1].vectors_generated == whole[0].infeasible_count * ((1 << 17) - 1)
-    assert whole[1].partitions_extended == whole[0].infeasible_count == 1
-    assert split[1].vectors_generated == split[0].infeasible_count << 9
-    assert split[2].vectors_generated == split[1].infeasible_count * ((1 << 8) - 1)
+# One arc between the terminals; its off state is the only retained vector.
+_ONE_ARC = Network(frozenset({1, 2}), ((1, 2),), (0.7,), 1, 2)
+# 17 arcs to grow it by: one more than a batch may hold.
+_WIDE_BATCH = [
+    (u, v, 0.5 + 0.025 * k)
+    for k, (u, v) in enumerate(
+        ((1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 2), (1, 6), (6, 2), (3, 4))
+        + ((4, 5), (5, 6), (1, 7), (7, 2), (7, 3), (1, 8), (8, 2), (8, 6))
+    )
+]
+
+
+def test_a_batch_over_16_arcs_is_refused_and_its_splits_agree():
+    with pytest.raises(CapExceededError, match="split"):
+        run(_ONE_ARC, [_WIDE_BATCH])
+    nine = run(_ONE_ARC, [_WIDE_BATCH[:9], _WIDE_BATCH[9:]])
+    sixteen = run(_ONE_ARC, [_WIDE_BATCH[:16], _WIDE_BATCH[16:]])
+    assert nine[-1].reliability == pytest.approx(sixteen[-1].reliability, abs=1e-12)
+    assert nine[1].vectors_generated == nine[0].infeasible_count << 9
+    assert nine[2].vectors_generated == nine[1].infeasible_count * ((1 << 8) - 1)
+    assert sixteen[1].vectors_generated == sixteen[0].infeasible_count << 16
+    assert sixteen[1].partitions_extended == sixteen[0].infeasible_count == 1
+    assert sixteen[2].vectors_generated == sixteen[1].infeasible_count
+
+
+def test_a_batch_of_16_arcs_runs():
+    state = initial_stage(_ONE_ARC)
+    expansion = Expansion.for_network(state.network, _WIDE_BATCH[:16])
+    grown, result = run_expansion(state, expansion, final=True)
+    assert result.vectors_generated == (1 << 16) - 1
+    assert run(_ONE_ARC, [_WIDE_BATCH[:16]])[-1].reliability == grown.reliability
+
+
+def test_a_batch_of_17_arcs_is_refused_before_any_stage_work(monkeypatch):
+    state = initial_stage(_ONE_ARC)
+    expansion = Expansion.for_network(state.network, _WIDE_BATCH)
+
+    def no_work(*args):
+        raise AssertionError("stage work before the cap")
+
+    monkeypatch.setattr(engine, "extend_network", no_work)
+    monkeypatch.setattr(engine, "_rows", no_work)
+    with pytest.raises(CapExceededError, match="combination") as refused:
+        run_expansion(state, expansion, final=True)
+    assert "at most 16 arcs" in str(refused.value)
+    monkeypatch.undo()
+    with pytest.raises(CapExceededError, match="split"):
+        run(_ONE_ARC, [_WIDE_BATCH])
 
 
 def _rows_held(grown):
@@ -696,11 +705,7 @@ def _rows_held(grown):
     return sum(trace.size for trace in made_by_rows.traces)
 
 
-@pytest.mark.parametrize("cache_width, streamed", [(16, False), (1, True)])
-def test_a_streamed_stage_leaves_no_row_alive(cache_width, streamed, monkeypatch):
-    # The bridge's first batch has two arcs: memoised at the default
-    # width, and streamed in chunks of two rows past a width of 1.
-    monkeypatch.setattr(engine, "_COMBO_CACHE_WIDTH", cache_width)
+def test_the_groups_of_a_stage_share_its_rows():
     state = initial_stage(bridge(0.9))
     expansion = Expansion.for_network(state.network, bridge_stages()[0])
     _, expected, _ = _reference_expansion(state, expansion, final=False)
@@ -711,17 +716,9 @@ def test_a_streamed_stage_leaves_no_row_alive(cache_width, streamed, monkeypatch
     finally:
         tracemalloc.stop()
     assert _retained(grown) == expected
-    groups = grown.infeasible.kept
-    if streamed:
-        # A streamed chunk's rows are built afresh for each vector, so
-        # each kept child is a group of its own and no row outlives its chunk.
-        assert held == 0
-        assert all(rows == (engine._IDENTITY_ROW,) for rows, _ in groups)
-        assert len(groups) == len(grown.infeasible)
-    else:
-        # A memoised stage's groups share the stage's rows.
-        assert held > 0
-        assert len(groups) < len(grown.infeasible)
+    # The stage's rows live on in the groups that refer to them.
+    assert held > 0
+    assert len(grown.infeasible.kept) < len(grown.infeasible)
 
 
 def test_an_untraced_final_stage_prices_only_the_children_it_connects(monkeypatch):

@@ -1,5 +1,6 @@
-"""The test suite's own configuration and the benchmark job it drives."""
+"""The test suite's own configuration, the package's source, and the benchmark job it drives."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -79,3 +80,61 @@ def test_the_benchmark_job_writes_the_bridge_trace_goldens(tmp_path):
     for stage in (0, 1, 2):
         expected = (root / "tests" / "data" / f"bridge_stage{stage}.csv").read_bytes()
         assert (trace / f"stage{stage}.csv").read_bytes() == expected
+
+
+PACKAGE = PYPROJECT.parent / "src" / "increl"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
+def _referenced(tree):
+    """Every name a module reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_the_package_imports_nothing_it_does_not_use():
+    # `__init__.py` imports to re-export, and a `# noqa: F401` import
+    # keeps names that instrumentation rebinds.
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        source = (PACKAGE / name).read_text(encoding="utf-8").splitlines()
+        used = _referenced(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or "# noqa: F401" in source[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{name}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_every_private_function_and_class_of_the_package_is_used():
+    modules = _modules()
+    used = set().union(*map(_referenced, modules.values()))
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    defined = [
+        f"{name} {node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert defined == []
