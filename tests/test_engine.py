@@ -428,15 +428,21 @@ _SMALL_CASES = [("bridge", bridge(0.9), bridge_stages())] + [
 
 
 @pytest.mark.parametrize(
-    "net, stages, split",
-    [pytest.param(net, stages, False, id=name) for name, net, stages in _SMALL_CASES]
-    + [pytest.param(grid_3x3(), GRID_STAGES, False, id="grid-3x3")]
-    + [pytest.param(net, stages, True, id=f"{name}-split") for name, net, stages in _SMALL_CASES],
+    "net, stages, chunk",
+    [pytest.param(net, stages, None, id=name) for name, net, stages in _SMALL_CASES]
+    + [pytest.param(grid_3x3(), GRID_STAGES, None, id="grid-3x3")]
+    + [pytest.param(net, stages, 1, id=f"{name}-streamed") for name, net, stages in _SMALL_CASES]
+    + [pytest.param(net, stages, 2, id=f"{name}-chunked") for name, net, stages in _SMALL_CASES],
 )
-def test_run_expansion_matches_per_vector_reference(net, stages, split):
-    # Split: the same arcs in the same order, one per batch, so only the
-    # last arc's stage is final.
-    batches = [[spec] for batch in stages for spec in batch] if split else stages
+def test_run_expansion_matches_per_vector_reference(net, stages, chunk):
+    # Streamed: the same arcs in the same order, one per batch. Chunked:
+    # each batch split into batches of at most two arcs. Either way only
+    # the last batch's stage is final.
+    batches = (
+        [batch[i : i + chunk] for batch in stages for i in range(0, len(batch), chunk)]
+        if chunk
+        else stages
+    )
     state = initial_stage(net)
     for k, specs in enumerate(batches):
         final = k == len(batches) - 1
@@ -452,7 +458,7 @@ def test_run_expansion_matches_per_vector_reference(net, stages, split):
         for got in (state, traced):
             assert got.reliability.hex() == reliability
             assert _retained(got) == retained
-    if split:
+    if chunk:
         assert state.reliability == pytest.approx(run(net, stages)[-1].reliability, abs=1e-12)
 
 
