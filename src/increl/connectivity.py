@@ -19,11 +19,19 @@ components into one new set, and every other component of the result
 is the parent's own object. `extend_partition` and
 `extend_partition_detail` fold that step over a batch's selected arcs,
 starting from the parent plus the batch's new nodes (`add_nodes`).
+
+The engine carries partitions in a second, flat form: a label, one
+`str` with one character per node of a fixed node order. Character i
+is `chr(j)`, where j is the smallest position in node i's component,
+so equal partitions have equal labels. Two nodes share a component
+exactly when their characters are equal, and one working arc is one
+`str.replace` (`label_add_arc`). `partition_label` and
+`label_partition` convert between the two forms.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from increl.model import Expansion, ExpansionError, Network
 
@@ -260,3 +268,76 @@ def extend_partition_detail(
             if part.source_side is part.sink_side:
                 return True, part
     return False, part
+
+
+def label_add_arc(label: str, ends: tuple[int, int]) -> str:
+    """The label after one more working arc between the nodes at positions `ends`.
+
+    Returns `label` itself when the two nodes already share a
+    component. Otherwise the larger of their two characters becomes the
+    smaller one everywhere: the joined component's smallest position.
+    """
+    x, y = label[ends[0]], label[ends[1]]
+    if x == y:
+        return label
+    return label.replace(y, x) if x < y else label.replace(x, y)
+
+
+def label_add_nodes(label: str, count: int) -> str:
+    """The label with `count` new nodes appended to the order, each alone."""
+    n = len(label)
+    return label + "".join(map(chr, range(n, n + count)))
+
+
+def partition_label(partition: NodePartition, position: Mapping[int, int]) -> str:
+    """The label of `partition` over the node order that `position` numbers.
+
+    `position` maps each node to its 0-based place in the order, and
+    the partition must cover exactly those nodes.
+    """
+    chars = [""] * len(position)
+    for comp in (partition.source_side, partition.sink_side, *partition.middle):
+        places = [position[v] for v in comp]
+        char = chr(min(places))
+        for i in places:
+            chars[i] = char
+    label = "".join(chars)
+    if len(label) != len(chars):
+        raise ValueError("the partition does not cover every node of the order")
+    return label
+
+
+def label_partition(
+    label: str, nodes: Sequence[int], source: int, sink: int, table: dict | None = None
+) -> NodePartition:
+    """The partition that `label` holds over the node order `nodes`.
+
+    Each component is interned in `table`, if given, so that equal
+    components of the partitions built with one table are one object.
+    When the terminals share a component, both sides are that one set.
+    """
+    members: dict[str, list[int]] = {}
+    for char, node in zip(label, nodes):
+        members.setdefault(char, []).append(node)
+    if table is None:
+        table = {}
+    comps = {}
+    for char, group in members.items():
+        comp = frozenset(group)
+        comps[char] = table.setdefault(comp, comp)
+    source_side = comps.pop(label[nodes.index(source)])
+    sink_side = comps.pop(label[nodes.index(sink)], source_side)
+    return NodePartition(source_side, sink_side, tuple(sorted(comps.values(), key=min)))
+
+
+def project_label(label: str, positions: Iterable[int]) -> str:
+    """The characters at `positions`, renumbered by first occurrence.
+
+    Two labels give the same result exactly when their partitions,
+    restricted to the nodes at `positions`, are equal. With the
+    terminals and every endpoint of a batch's arcs that the label
+    covers among them, it decides which combinations of the batch
+    connect the terminals.
+    """
+    first: dict[str, str] = {}
+    return "".join([first.setdefault(label[i], chr(len(first))) for i in positions])

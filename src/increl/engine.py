@@ -2,59 +2,70 @@
 
 Stage 0 enumerates every state vector of the original network once,
 folding feasible vectors into the reliability sum and retaining each
-infeasible vector together with its node partition. It walks the
-binary-addition tree: each vector's working arcs from its lowest one
-up are those of a vector already met plus that one arc, so its
-partition is one `add_arc` step from one the walk holds, and no vector
-searches the graph. Every later stage extends only the retained
-vectors: each one is combined with every state combination of the
-newly added arcs, the stored partition is updated instead of
-re-searching the graph, and the new infeasible vectors replace the old
-set wholesale. On the final stage nothing is retained and the all-zero
-combination is skipped outright, since a disconnected graph gains
-nothing from zero new arcs.
+infeasible vector together with its node partition. Every later stage
+extends only the retained vectors: each one is combined with every
+state combination of the newly added arcs, the stored partition is
+updated instead of re-searching the graph, and the new infeasible
+vectors replace the old set wholesale. On the final stage nothing is
+retained and the all-zero combination is skipped outright, since a
+disconnected graph gains nothing from zero new arcs.
+
+Inside the engine a partition is a label (`connectivity`): one
+character per node, the smallest position in the node's component.
+Nodes take positions in arrival order: the network's nodes sorted,
+then each batch's new nodes sorted. A label is canonical, so equal
+partitions are equal strings; the terminals connect exactly when
+their two characters are equal; one working arc is one
+`label_add_arc` step, a `str.replace`; and a batch's base, the parent
+plus its new nodes, is the parent label with one character appended
+per new node. A `NodePartition` is built only at the edge, once per
+distinct label, with its components interned: by `RetainedSet.rows()`
+and `RetainedSet.append`, and for a traced stage's `TraceBlock`s.
+
+Stage 0 walks the binary-addition tree: each vector's working arcs
+from its lowest one up are those of a vector already met plus that one
+arc, so its label is one `label_add_arc` step from one the walk holds,
+and no vector searches the graph.
 
 A vector is its parent plus the states of the stage's new arcs, and
 the retained set is stored that way: a `RetainedSet` holds groups, one
 per parent vector that kept a child. A group is the parent's mask, bit
 k holding the state of arc k+1, its probability and the count of
 vectors examined before its children, plus a reference to the memo
-entry's kept rows and child partitions, shared by every parent that
-holds the partition. A child's mask is the parent's ORed with its
-row's combination bits, shifted past the existing arcs, and its
-probability the parent's times the new arcs' factors in arc order.
-That is the order `vector_probability` multiplies in, so the product
-is bit-identical to recomputing it over the whole vector, and no stage
+entry's kept rows and child labels, shared by every parent that holds
+the label. A child's mask is the parent's ORed with its row's
+combination bits, shifted past the existing arcs, and its probability
+the parent's times the new arcs' factors in arc order. That is the
+order `vector_probability` multiplies in, so the product is
+bit-identical to recomputing it over the whole vector, and no stage
 after the first rebuilds a vector or its probability. Masks are
 machine words while the network has at most 64 arcs.
 
 What a combination does to a vector depends only on the vector's
 partition, and many retained vectors share one. So each stage runs one
 loop over the retained vectors with one memo keyed on the parent
-partition. Every distinct partition gets one base, itself plus the
-batch's new nodes, and each combination's outcome is one `add_arc`
-step from the outcome of its prefix, the combination without its top
-arc: a vector is its predecessor plus one arc, as in a binary-addition
-tree. The entry splits the outcomes into the combinations that connect
-the terminals and the rows the stage keeps, as references to the
-stage's own rows. Every vector holding the partition reuses the entry:
-it adds its connecting products to the sum, and if it keeps any row
-it becomes one group of the new set. The stage loops over the parent
-groups, and pairs each group's children with their entries once per
-distinct entry the groups refer to. Partitions, and the components
-inside them, are interned by value in one table per stage, so equal
-ones are one object: a partition shares each component with every
-other partition that holds it. The vectors are visited in order and
-each one's rows in combination order, so counts, traces and sums are
-those of the plain per-vector loop.
+label. Every distinct label gets one base, and each combination's
+outcome is one `label_add_arc` step from the outcome of its prefix,
+the combination without its top arc: a vector is its predecessor plus
+one arc, as in a binary-addition tree. The entry splits the outcomes
+into the combinations that connect the terminals and the rows the
+stage keeps, as references to the stage's own rows. Every vector
+holding the label reuses the entry: it adds its connecting products
+to the sum, and if it keeps any row it becomes one group of the new
+set. The stage loops over the parent groups, and pairs each group's
+children with their entries once per distinct entry the groups refer
+to. Kept labels are interned by value in one table per stage, so
+equal ones are one object. The vectors are visited in order and each
+one's rows in combination order, so counts, traces and sums are those
+of the plain per-vector loop.
 
 An untraced final stage only has to know which combinations connect
 the terminals, and that depends only on the partition projected onto
-the terminals and the batch's endpoints. Its memo entry is those
-combinations, computed once per distinct projection, and it visits
-only the retained vectors that some combination connects, and of each
-only those combinations: distinct projections x combinations one-arc
-steps plus connected retained + feasible vector steps.
+the terminals and the batch's endpoints: the label's characters there,
+renumbered by first occurrence (`project_label`). Its memo entry is
+those combinations, computed once per distinct projection, and it
+visits only the retained vectors that some combination connects, and
+of each only those combinations.
 
 A trace callback gets one `TraceBlock` per parent vector: the entry's
 outcomes and the stage's shared combinations, so tracing adds no
@@ -84,13 +95,15 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 # from it.
 from increl.connectivity import (  # noqa: F401
     NodePartition,
-    add_arc,
-    add_nodes,
     extend_partition,
     extend_partition_detail,
     is_connected,
+    label_add_arc,
+    label_add_nodes,
+    label_partition,
+    partition_label,
     partition_nodes,
-    project_partition,
+    project_label,
 )
 from increl.enumeration import counting_vectors
 from increl.model import (
@@ -106,13 +119,13 @@ from increl.model import (
 )
 
 DEFAULT_MAX_ARCS = 30
-# About 1.6 GB at the 94 B of resident memory a retained vector was
-# measured to cost on a 4x4 grid grown one node per batch (284 MB for
+# About 1.1 GB at the 67 B of resident memory a retained vector was
+# measured to cost on a 4x4 grid grown one node per batch (195 MB for
 # 3.03M vectors), so the cap trips before an 8 GB machine runs out of
 # memory.
 DEFAULT_MAX_RETAINED = 1 << 24
 # A stage builds one row per combination of its batch and memoises each
-# partition's outcome of every combination, so a batch may add at most
+# label's outcome of every combination, so a batch may add at most
 # this many arcs: 2**16 rows. A wider batch is refused; the same arcs
 # split across several batches give the same reliability, up to rounding.
 _MAX_BATCH_ARCS = 16
@@ -130,59 +143,107 @@ _Row = tuple[int, Bits, int, tuple[float, ...]]
 _IDENTITY_ROW: _Row = (0, (), 0, ())
 
 
+class _Partitions(dict):
+    """Each label's `NodePartition`, built on first use and looked up after that.
+
+    The labels are over the node order `nodes`. The components of the
+    partitions one cache builds are interned in one table, so equal
+    components are one object.
+    """
+
+    def __init__(self, nodes: Sequence[int], source: int, sink: int) -> None:
+        super().__init__()
+        self.nodes, self.source, self.sink = nodes, source, sink
+        self.components: dict = {}
+
+    def __missing__(self, label: str) -> NodePartition:
+        part = self[label] = label_partition(
+            label, self.nodes, self.source, self.sink, self.components
+        )
+        return part
+
+
+# The pair of an entry that keeps no row: every entry of a final stage.
+_NO_KEPT: tuple[tuple[_Row, ...], tuple[str, ...]] = ((), ())
+
+
 class RetainedSet:
     """A stage's retained vectors, stored as groups in four parallel columns.
 
     Group g is `masks[g]`, `probabilities[g]` (`array('d')`),
     `bases[g]` (`array('q')`) and `kept[g]`: a vector of the previous
     stage, as its mask and probability, the count of vectors its stage
-    examined before its own, and the pair (rows, partitions) of the memo
+    examined before its own, and the pair (rows, labels) of the memo
     entry that extended it, shared by every group the entry made.
     Vector r of the group has mask `mask | rows[r][2]`, bit j for arc
-    j+1 (`mask_bits` decodes one), the interned partition
-    `partitions[r]`, 1-based generation index `base + rows[r][0]`, which
-    traces name as a parent, and probability `prod(rows[r][3],
-    start=probability)`, its `vector_probability` to the last bit.
-    `rows()` spells the vectors out in generation order, and `len`
+    j+1 (`mask_bits` decodes one), the interned label `labels[r]` of its
+    partition over the node order `nodes`, 1-based generation index
+    `base + rows[r][0]`, which traces name as a parent, and probability
+    `prod(rows[r][3], start=probability)`, its `vector_probability` to
+    the last bit. `rows()` spells the vectors out in generation order,
+    with each distinct label's `NodePartition` built once, and `len`
     counts them.
 
-    `append` adds one vector as a group of its own, whose one row is
-    `_IDENTITY_ROW`; such groups share one pair per partition. Stage 0
-    keeps its vectors this way. `masks` is an `array('Q')` of machine
-    words while `arc_count`, the network's, is at most 64, and a list
-    of ints past that, since masks then outgrow a word. Either form
-    takes `append`.
+    `append` adds one vector, with its `NodePartition`, as a group of
+    its own, whose one row is `_IDENTITY_ROW`; such groups share one
+    pair per label. A set made without a node order takes the sorted
+    nodes of the first partition appended, and `rows()` gives back the
+    partition first appended with each label, so a set made without
+    its terminals reads back too. Stage 0 keeps its vectors as such
+    groups. `masks` is an `array('Q')` of machine words while
+    `arc_count`, the network's, is at most 64, and a list of ints past
+    that, since masks then outgrow a word. Either form takes `append`.
     """
 
-    __slots__ = ("masks", "probabilities", "bases", "kept", "_singles")
+    __slots__ = (
+        "masks", "probabilities", "bases", "kept", "nodes", "source", "sink",
+        "_singles", "_appended",
+    )
 
-    def __init__(self, arc_count: int = 0) -> None:
+    def __init__(
+        self, arc_count: int = 0, nodes: tuple[int, ...] = (), source: int = 0, sink: int = 0
+    ) -> None:
         self.masks: array | list[int] = array("Q") if arc_count <= _WORD_BITS else []
         self.probabilities = array("d")
         self.bases = array("q")
-        self.kept: list[tuple[tuple[_Row, ...], tuple[NodePartition, ...]]] = []
-        self._singles: dict[NodePartition, tuple] = {}
+        self.kept: list[tuple[tuple[_Row, ...], tuple[str, ...]]] = []
+        self.nodes, self.source, self.sink = nodes, source, sink
+        self._singles: dict[str, tuple] = {}
+        # The partition each appended label came with.
+        self._appended: dict[str, NodePartition] = {}
 
     def __len__(self) -> int:
-        return sum([len(partitions) for _, partitions in self.kept])
+        return sum([len(labels) for _, labels in self.kept])
 
-    def append(self, mask: int, partition: NodePartition, index: int, probability: float) -> None:
-        """Add one vector as a group of one row."""
-        single = self._singles.get(partition)
+    def _add(self, mask: int, label: str, index: int, probability: float) -> None:
+        """Add one vector, with the label of its partition, as a group of one row."""
+        single = self._singles.get(label)
         if single is None:
-            single = self._singles[partition] = ((_IDENTITY_ROW,), (partition,))
+            single = self._singles[label] = ((_IDENTITY_ROW,), (label,))
         self.masks.append(mask)
         self.probabilities.append(probability)
         self.bases.append(index)
         self.kept.append(single)
 
+    def append(self, mask: int, partition: NodePartition, index: int, probability: float) -> None:
+        """Add one vector as a group of one row."""
+        if not self.nodes:
+            comps = (partition.source_side, partition.sink_side, *partition.middle)
+            self.nodes = tuple(sorted({v for comp in comps for v in comp}))
+        label = partition_label(partition, {v: i for i, v in enumerate(self.nodes)})
+        self._appended.setdefault(label, partition)
+        self._add(mask, label, index, probability)
+
     def rows(self) -> Iterator[tuple[int, NodePartition, int, float]]:
         """Each vector's mask, partition, generation index and probability, in order."""
-        for mask, probability, base, (rows, partitions) in zip(
+        partitions = _Partitions(self.nodes, self.source, self.sink)
+        partitions.update(self._appended)
+        for mask, probability, base, (rows, labels) in zip(
             self.masks, self.probabilities, self.bases, self.kept
         ):
-            for (offset, _, row_mask, factors), partition in zip(rows, partitions):
-                yield mask | row_mask, partition, base + offset, prod(factors, start=probability)
+            for (offset, _, row_mask, factors), label in zip(rows, labels):
+                p = prod(factors, start=probability)
+                yield mask | row_mask, partitions[label], base + offset, p
 
 
 class EngineState(NamedTuple):
@@ -276,15 +337,16 @@ TraceFn = Callable[[TraceBlock], None]
 # The combinations of a stage-0 block: the vector is all head.
 _NO_COMBOS: tuple[Bits, ...] = ((),)
 
-# What one partition makes of the stage's rows: the outcome of each row
-# (filled on a traced stage only), the factors of the rows that connect
-# the terminals, and the pair of the rows a non-final stage keeps, as
-# the stage's own row objects, and the child partition of each. Every
-# part is in row order. The next stage's groups refer to the pair.
+# What one label makes of the stage's rows: the partition of each row's
+# outcome (filled on a traced stage only), the factors of the rows that
+# connect the terminals, and the pair of the rows a non-final stage
+# keeps, as the stage's own row objects, and the child label of each,
+# or `_NO_KEPT`. Every part is in row order. The next stage's groups
+# refer to the pair.
 _Entry = tuple[
     tuple[NodePartition, ...],
     tuple[tuple[float, ...], ...],
-    tuple[tuple[_Row, ...], tuple[NodePartition, ...]],
+    tuple[tuple[_Row, ...], tuple[str, ...]],
 ]
 
 
@@ -315,75 +377,59 @@ def _rows(expansion: Expansion, shift: int, final: bool) -> Iterator[_Row]:
         yield k + 1 - final, combo, k << shift, tuple(map(getitem, choices, combo))
 
 
-def _interned(part: NodePartition, table: dict) -> NodePartition:
-    """The table's partition equal to `part`, adding it if it is new.
+def _outcomes(
+    label: str, new_count: int, ends: Sequence[tuple[int, int]], s: int, t: int
+) -> list[str]:
+    """The label of each combination of the batch's arcs.
 
-    A new partition goes in with its components interned in the same
-    table, so equal components of different partitions are one object
-    too. A connected partition keeps both sides one object.
-    """
-    found = table.get(part)
-    if found is None:
-        source_side = table.setdefault(part.source_side, part.source_side)
-        sink_side = (
-            source_side
-            if part.sink_side is part.source_side
-            else table.setdefault(part.sink_side, part.sink_side)
-        )
-        middle = tuple([table.setdefault(comp, comp) for comp in part.middle])
-        found = NodePartition(source_side, sink_side, middle)
-        table[found] = found
-    return found
-
-
-def _outcomes(partition: NodePartition, expansion: Expansion) -> list[NodePartition]:
-    """The partition of each combination of the batch's arcs.
-
-    In counting order. Combination 0 is the base: the partition plus
-    the batch's new nodes. Combination k is its prefix, k without its
-    top bit, plus the arc of that bit, so its partition is one `add_arc`
-    step from the prefix's; a prefix that already connects the
-    terminals is reused as it is. That is the fold
+    In counting order. Combination 0 is the base: the label plus the
+    batch's `new_count` new nodes, each alone. Combination k is its
+    prefix, k without its top bit, plus the arc of that bit, whose ends
+    are at the positions `ends[bit]`, so its label is one
+    `label_add_arc` step from the prefix's; a prefix that already
+    connects the terminals, at positions `s` and `t`, is reused as it
+    is. That is the fold
     `extend_partition_detail` makes over k's arcs, with one step per
     combination instead of one per selected arc.
     """
-    outcomes = [add_nodes(partition, expansion.new_nodes)]
-    for arc in expansion.arcs:
-        outcomes += [p if p.source_side is p.sink_side else add_arc(p, arc) for p in outcomes]
+    outcomes = [label_add_nodes(label, new_count)]
+    for arc in ends:
+        outcomes += [p if p[s] == p[t] else label_add_arc(p, arc) for p in outcomes]
     return outcomes
 
 
 def _entry(
-    outcomes: Iterable[NodePartition],
+    outcomes: Iterable[str],
     rows: Iterable[_Row],
     final: bool,
-    traced: bool,
+    s: int,
+    t: int,
     interned: dict,
+    partitions: _Partitions | None,
 ) -> _Entry:
-    """Split what each row's combination makes of one partition.
+    """Split what each row's combination makes of one label.
 
-    `outcomes` holds each row's partition, in row order; a row connects
-    the terminals exactly when its partition's two sides are one
-    object. A traced stage records every outcome. A kept row is the
-    row object itself, so an entry adds one reference per kept row and
-    copies none of its parts; the next stage's groups refer to the
-    entry's pair of kept rows and child partitions. Every traced
-    outcome and every kept child is interned with its components, so
-    equal outcomes of different parent partitions are one object.
+    `outcomes` holds each row's label, in row order; a row connects the
+    terminals exactly when its characters at `s` and `t` are equal. A
+    traced stage, which passes its `partitions` cache, records every
+    outcome's partition. A kept row is the row object itself, so an
+    entry adds one reference per kept row and copies none of its parts;
+    the next stage's groups refer to the entry's pair of kept rows and
+    child labels. Every kept label is interned, so equal children of
+    different parent labels are one object.
     """
-    recorded, connecting, kept, parts = [], [], [], []
-    for row, part in zip(rows, outcomes):
-        connected = part.source_side is part.sink_side
-        if traced or not (connected or final):
-            part = _interned(part, interned)
-        if connected:
+    recorded, connecting, kept, labels = [], [], [], []
+    for row, label in zip(rows, outcomes):
+        if label[s] == label[t]:
             connecting.append(row[3])
         elif not final:
+            label = interned.setdefault(label, label)
             kept.append(row)
-            parts.append(part)
-        if traced:
-            recorded.append(part)
-    return tuple(recorded), tuple(connecting), (tuple(kept), tuple(parts))
+            labels.append(label)
+        if partitions is not None:
+            recorded.append(partitions[label])
+    pair = (tuple(kept), tuple(labels)) if kept else _NO_KEPT
+    return tuple(recorded), tuple(connecting), pair
 
 
 def _log_stage(
@@ -422,25 +468,25 @@ def initial_stage(
     max_retained: int = DEFAULT_MAX_RETAINED,
     trace: TraceFn | None = None,
 ) -> EngineState:
-    """Full enumeration of the original network, one `add_arc` step per vector.
+    """Full enumeration of the original network, one `label_add_arc` step per vector.
 
     Visits all 2**m vectors in counting order, as `counting_vectors`
     yields them; feasible vectors contribute their probability and are
-    dropped, infeasible ones are retained with their partitions and
-    probabilities, each as a group of its own (`RetainedSet.append`).
-    The resulting reliability is exact for the original network.
-    `trace`, if given, gets one `TraceBlock` per vector.
+    dropped, infeasible ones are retained with their labels and
+    probabilities, each as a group of its own. The labels are over the
+    network's nodes sorted. The resulting reliability is exact for the
+    original network. `trace`, if given, gets one `TraceBlock` per
+    vector.
 
-    The walk holds m + 1 partitions: `stack[j]` is the partition of the
-    current vector's working arcs among arcs j+1..m, so `stack[m]` is
-    the base, the source, the sink and every other node each alone.
-    Vector k > 0, with its lowest set bit at t, agrees with vector
-    k - 1 on arcs t+2..m, sets arc t+1 and clears the arcs below it. So
-    its partition is `add_arc(stack[t + 1], arcs[t])`, and `stack[0..t]`
-    take it. A partition that connects the terminals keeps stepping, so
-    a traced connected vector shows its full components, as
-    `partition_nodes` gives them. `add_arc` goes through this module's
-    globals so instrumentation can rebind it.
+    The walk holds m + 1 labels: `stack[j]` is the label of the current
+    vector's working arcs among arcs j+1..m, so `stack[m]` is the base,
+    every node alone. Vector k > 0, with its lowest set bit at t, agrees
+    with vector k - 1 on arcs t+2..m, sets arc t+1 and clears the arcs
+    below it. So its label is `label_add_arc(stack[t + 1], ends[t])`,
+    and `stack[0..t]` take it. A label that connects the terminals
+    keeps stepping, so a traced connected vector shows its full
+    components, as `partition_nodes` gives them. `label_add_arc` goes
+    through this module's globals so instrumentation can rebind it.
     """
     start = time.perf_counter()
     m = net.arc_count
@@ -449,33 +495,44 @@ def initial_stage(
     if m > max_arcs:
         raise CapExceededError(f"network has {m} arcs, enumeration capped at {max_arcs}")
     total = comp = 0.0
-    retained = RetainedSet(m)
+    nodes = tuple(sorted(net.nodes))
+    position = {v: i for i, v in enumerate(nodes)}
+    ends = [(position[u], position[v]) for u, v in net.arcs]
+    s, t = position[net.source], position[net.sink]
+    retained = RetainedSet(m, nodes, net.source, net.sink)
     # Each stage-0 vector is a group of its own.
-    append, groups = retained.append, retained.masks
-    interned: dict = {}
-    terminals = NodePartition(frozenset((net.source,)), frozenset((net.sink,)), ())
-    part = add_nodes(terminals, net.nodes - {net.source, net.sink})
-    stack = [part] * (m + 1)
-    arcs = net.arcs
+    add, groups = retained._add, retained.masks
+    partitions = _Partitions(nodes, net.source, net.sink)
+    label = label_add_nodes("", len(nodes))
+    stack = [label] * (m + 1)
     with _gc_paused():
         for k, bits in enumerate(counting_vectors(m)):
             # t + 1 for k's lowest set bit t, and 0 for k = 0, the base.
             low = (k & -k).bit_length()
             if low:
-                part = add_arc(stack[low], arcs[low - 1])
+                label = label_add_arc(stack[low], ends[low - 1])
             x = vector_probability(bits, net)
-            if part.source_side is part.sink_side:
+            if label[s] == label[t]:
                 total, comp = _neumaier_add(total, comp, x)
             else:
-                part = _interned(part, interned)
-                append(k, part, k + 1, x)
+                add(k, label, k + 1, x)
                 if len(groups) > max_retained:
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
-            stack[:low] = [part] * low
+            stack[:low] = [label] * low
             if trace is not None:
-                trace(TraceBlock(0, k + 1, k + 1, bits, _NO_COMBOS, (part,)))
+                trace(TraceBlock(0, k + 1, k + 1, bits, _NO_COMBOS, (partitions[label],)))
     _log_stage(0, 1 << m, len(retained), 0, time.perf_counter() - start)
     return EngineState(net, 0, total, comp, retained)
+
+
+def _check_width(expansion: Expansion) -> None:
+    """Refuse a batch of more than `_MAX_BATCH_ARCS` arcs."""
+    width = expansion.arc_count
+    if width > _MAX_BATCH_ARCS:
+        raise CapExceededError(
+            f"expansion adds {width} arcs, {1 << width} combinations per retained vector;"
+            f" split the batch across INC files of at most {_MAX_BATCH_ARCS} arcs"
+        )
 
 
 def run_expansion(
@@ -494,27 +551,28 @@ def run_expansion(
     infeasible ones form the next retained set, or are dropped
     entirely on the final stage.
 
-    One loop visits the parent groups in order, and each group's
-    vectors in row order. One memo, keyed on the parent partition,
-    holds one entry per distinct partition: the factors of the
-    combinations that connect the terminals, and the pair of the rows
-    the stage keeps and their child partitions. The rows are the
+    The new set's node order is the parent set's plus the batch's new
+    nodes sorted. One loop visits the parent groups in order, and each
+    group's vectors in row order. One memo, keyed on the parent label,
+    holds one entry per distinct label: the factors of the combinations
+    that connect the terminals, and the pair of the rows the stage
+    keeps and their child labels, or `_NO_KEPT`. The rows are the
     stage's own, shared by every entry. The entry's outcomes come one
-    `add_arc` step per combination from the base (`_outcomes`), and a
-    prefix that already connects is reused. A group's plan, each of its
-    vectors with its entry, is made once per (rows, partitions) pair
+    `label_add_arc` step per combination from the base (`_outcomes`),
+    and a prefix that already connects is reused. A group's plan, each
+    of its vectors with its entry, is made once per (rows, labels) pair
     the groups refer to, keyed by the pair's identity: the parent set
     keeps the pair alive. A vector adds its connecting products to the
     sum in combination order, and if it keeps any row it becomes one
     group of the new set: its mask, its probability, the count of
     vectors examined before its own, and the entry's pair. On an
-    untraced final stage the entry depends only on the partition
-    projected onto the batch's endpoints and the terminals, so it is
-    computed once per distinct projection; the plan holds only the
-    vectors that some combination connects, and each visits only those
-    combinations. Each combination's row (position, bits, shifted mask
-    and probability factors) is built once for the stage and lives as
-    long as the groups that refer to it. The connectivity calls go
+    untraced final stage the entry depends only on the label projected
+    onto the batch's endpoints and the terminals (`project_label`), so
+    it is computed once per distinct projection; the plan holds only
+    the vectors that some combination connects, and each visits only
+    those combinations. Each combination's row (position, bits, shifted
+    mask and probability factors) is built once for the stage and
+    lives as long as the groups that refer to it. The label steps go
     through this module's globals so instrumentation can rebind them.
 
     A batch of more than 16 arcs (`_MAX_BATCH_ARCS`) raises
@@ -522,54 +580,61 @@ def run_expansion(
     batches.
 
     `trace`, if given, gets one `TraceBlock` per retained vector, in
-    generation order.
+    generation order, whose outcomes are each distinct label's
+    `NodePartition`, built once per stage.
     """
     start = time.perf_counter()
     if state.finalized:
         raise ExpansionError("the final stage has already run")
-    width = expansion.arc_count
-    if width > _MAX_BATCH_ARCS:
-        raise CapExceededError(
-            f"expansion adds {width} arcs, {1 << width} combinations per retained vector;"
-            f" split the batch across INC files of at most {_MAX_BATCH_ARCS} arcs"
-        )
-    new_net = extend_network(state.network, expansion)
+    _check_width(expansion)
+    net = state.network
+    new_net = extend_network(net, expansion)
     stage = state.stage_index + 1
-    shift = state.network.arc_count
-    combos = (1 << width) - final
+    shift = net.arc_count
+    combos = (1 << expansion.arc_count) - final
+
+    parents = state.infeasible
+    old_nodes = parents.nodes or tuple(sorted(net.nodes))
+    nodes = old_nodes + tuple(sorted(expansion.new_nodes))
+    position = {v: i for i, v in enumerate(nodes)}
+    ends = [(position[u], position[v]) for u, v in expansion.arcs]
+    s, t = position[net.source], position[net.sink]
+    new_count = len(expansion.new_nodes)
 
     total, comp = state.reliability_sum, state.reliability_comp
-    retained = RetainedSet(new_net.arc_count)
+    retained = RetainedSet(new_net.arc_count, nodes, net.source, net.sink)
     masks, probabilities = retained.masks, retained.probabilities
     bases, groups = retained.bases, retained.kept
     traced = trace is not None
     projected = final and not traced
-    keep = frozenset((new_net.source, new_net.sink)).union(*expansion.arcs)
+    # The positions that decide an untraced final stage: the terminals
+    # and the batch's endpoints the parent labels cover.
+    keep = sorted(i for i in {s, t}.union(*ends) if i < len(old_nodes))
     rows = tuple(_rows(expansion, shift, final))
     stage_combos = tuple(row[1] for row in rows)
-    memo: dict[NodePartition, _Entry] = {}
-    by_projection: dict[NodePartition, _Entry] = {}
+    memo: dict[str, _Entry] = {}
+    by_projection: dict[str, _Entry] = {}
     # Each parent group's rows and the entries of their children, in two
     # parallel sequences, by the identity of the group's pair, which the
     # parent set keeps alive.
     plans: dict[int, tuple] = {}
-    interned: dict = {}
+    interned: dict[str, str] = {}
+    partitions = _Partitions(nodes, net.source, net.sink) if traced else None
 
-    def entry_of(partition: NodePartition) -> _Entry:
-        """What the stage's rows make of a vector's partition."""
-        entry = memo.get(partition)
+    def entry_of(label: str) -> _Entry:
+        """What the stage's rows make of a vector's label."""
+        entry = memo.get(label)
         if entry is None:
-            target = project_partition(partition, keep) if projected else partition
-            entry = by_projection.get(target) if projected else None
+            key = project_label(label, keep) if projected else label
+            entry = by_projection.get(key) if projected else None
             if entry is None:
-                outcomes = _outcomes(target, expansion)[final:]
-                entry = _entry(outcomes, rows, final, traced, interned)
+                outcomes = _outcomes(label, new_count, ends, s, t)[final:]
+                entry = _entry(outcomes, rows, final, s, t, interned, partitions)
                 if projected:
-                    by_projection[target] = entry
-            memo[partition] = entry
+                    by_projection[key] = entry
+            memo[label] = entry
         return entry
 
-    parents = state.infeasible
     count = 0
     with _gc_paused():
         examined = 0
@@ -578,15 +643,15 @@ def run_expansion(
         ):
             plan = plans.get(id(group))
             if plan is None:
-                group_rows, parts = group
+                group_rows, labels = group
                 if projected:
                     # Nothing is kept: only a connecting child adds anything.
                     # Built in one pass, since transient copies of every
                     # group's plan raise the stage's peak memory.
-                    children = zip(group_rows, map(entry_of, parts))
+                    children = zip(group_rows, map(entry_of, labels))
                     plan = tuple(zip(*[child for child in children if child[1][1]]))
                 else:
-                    plan = group_rows, tuple(map(entry_of, parts))
+                    plan = group_rows, tuple(map(entry_of, labels))
                 plans[id(group)] = plan
             if traced:
                 # The group's vectors extend its mask by their rows' bits.
@@ -650,10 +715,21 @@ def run(
 
     `stages` holds one arc-spec batch per growth stage; the last batch
     is treated as final. With no batches this degenerates to the
-    initial enumeration. Each returned row carries the exact
-    reliability of the network as grown up to that stage and the wall
-    time of the stage's own work (binding a batch is not counted).
+    initial enumeration. Every batch is bound to the network as grown
+    by the batches before it, and checked against the 16-arc cap,
+    before stage 0 starts, so an input that will be refused does no
+    stage work and hands no block to `trace`. Each returned row
+    carries the exact reliability of the network as grown up to that
+    stage and the wall time of the stage's own work (binding a batch
+    is not counted).
     """
+    expansions = []
+    grown = net
+    for specs in stages:
+        expansion = Expansion.for_network(grown, specs)
+        _check_width(expansion)
+        grown = extend_network(grown, expansion)
+        expansions.append(expansion)
     start = time.perf_counter()
     state = initial_stage(net, max_arcs=max_arcs, max_retained=max_retained, trace=trace)
     results = [
@@ -666,12 +742,11 @@ def run(
             elapsed_s=time.perf_counter() - start,
         )
     ]
-    for k, specs in enumerate(stages):
-        expansion = Expansion.for_network(state.network, specs)
+    for k, expansion in enumerate(expansions):
         state, result = run_expansion(
             state,
             expansion,
-            final=(k == len(stages) - 1),
+            final=(k == len(expansions) - 1),
             max_retained=max_retained,
             trace=trace,
         )

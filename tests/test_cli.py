@@ -104,6 +104,31 @@ def test_run_refuses_a_batch_over_16_arcs(tmp_path, capsys):
     assert "split" in err
 
 
+@pytest.mark.parametrize(
+    "growth, exit_code, fragment",
+    [
+        # 17 arcs from the bridge to nine new nodes.
+        ([[(1, v) for v in range(5, 14)] + [(v, 4) for v in range(5, 13)]], 2, "split"),
+        # The second INC file repeats an arc of the first.
+        ([[(2, 5), (4, 5)], [(3, 5), (5, 2)]], 3, "parallel arc between 5 and 2"),
+    ],
+    ids=["wide", "parallel"],
+)
+def test_run_refuses_a_batch_before_stage_zero_writes_a_trace(
+    tmp_path, capsys, growth, exit_code, fragment
+):
+    files = []
+    for k, arcs in enumerate(growth):
+        files.append(tmp_path / f"grow{k}.inc")
+        files[-1].write_text("".join(f"arc {u} {v} 0.9\n" for u, v in arcs))
+    trace = tmp_path / "trace"
+    code, out, err = run_cli(capsys, "run", BRIDGE, *map(str, files), "--trace", str(trace))
+    assert code == exit_code
+    assert out == ""
+    assert fragment in err
+    assert not (trace / "stage0.csv").exists()
+
+
 def test_run_naive_column(capsys):
     code, out, _ = run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--naive")
     assert code == 0

@@ -24,8 +24,16 @@ from increl import (
     project_partition,
     run_expansion,
 )
-from increl.connectivity import add_arc, add_nodes
-from helpers import bridge, random_scenario
+from increl.connectivity import (
+    add_arc,
+    add_nodes,
+    label_add_arc,
+    label_add_nodes,
+    label_partition,
+    partition_label,
+    project_label,
+)
+from helpers import bridge, cumulative_networks, random_scenario
 
 
 def bfs_connected(net, bits):
@@ -218,6 +226,67 @@ def test_add_nodes_adds_singletons_in_order():
     )
 
 
+def test_label_add_arc_gives_the_joined_component_its_smallest_position():
+    # Positions 1 and 2 share a component; 0, 3 and 4 are each alone.
+    label = "\x00\x01\x01\x03\x04"
+    assert label_add_arc(label, (2, 1)) is label
+    assert label_add_arc(label, (4, 2)) == "\x00\x01\x01\x03\x01"
+    assert label_add_arc(label, (1, 0)) == "\x00\x00\x00\x03\x04"
+
+
+def test_label_add_nodes_appends_each_new_node_alone():
+    assert label_add_nodes("", 3) == "\x00\x01\x02"
+    assert label_add_nodes("\x00\x00", 2) == "\x00\x00\x02\x03"
+    assert label_add_nodes("\x00", 0) == "\x00"
+
+
+def test_labels_and_partitions_convert_both_ways():
+    # Arrival order: the network's nodes sorted, then a batch's new nodes sorted.
+    nodes = (1, 2, 3, 4, 50, 100)
+    position = {v: i for i, v in enumerate(nodes)}
+    part = NodePartition(
+        frozenset({1, 100}), frozenset({4}), (frozenset({2, 3}), frozenset({50}))
+    )
+    label = partition_label(part, position)
+    assert label == "\x00\x01\x01\x03\x04\x00"
+    assert label_partition(label, nodes, 1, 4) == part
+    merged = label_partition(label_add_arc(label, (3, 5)), nodes, 1, 4)
+    assert merged.source_side is merged.sink_side == frozenset({1, 4, 100})
+    assert merged.middle == part.middle
+    # One table interns the components of every partition built with it.
+    table = {}
+    first = label_partition(label, nodes, 1, 4, table)
+    second = label_partition(label_add_arc(label, (2, 3)), nodes, 1, 4, table)
+    assert second.source_side is first.source_side
+    assert second.middle[0] is first.middle[1]
+    with pytest.raises(ValueError, match="cover"):
+        partition_label(part, {**position, 7: 6})
+
+
+# A network drawn with every batch's arcs, and a node order drawn with it.
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_a_label_folded_from_a_vectors_arcs_is_its_partition(seed, data):
+    net, stages = random_scenario(random.Random(seed))
+    net = cumulative_networks(net, stages)[-1]
+    nodes = tuple(data.draw(st.permutations(sorted(net.nodes))))
+    m = net.arc_count
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    position = {v: i for i, v in enumerate(nodes)}
+    label = label_add_nodes("", len(nodes))
+    for bit, (u, v) in zip(bits, net.arcs):
+        if bit:
+            label = label_add_arc(label, (position[u], position[v]))
+    part = partition_nodes(net, bits)
+    assert len(label) == net.node_count
+    assert label_partition(label, nodes, net.source, net.sink) == part
+    assert partition_label(part, position) == label
+    back = label_partition(partition_label(part, position), nodes, net.source, net.sink)
+    assert back == part
+    connected = label[position[net.source]] == label[position[net.sink]]
+    assert connected == is_connected(part) == (back.source_side is back.sink_side)
+
+
 def test_partition_and_layers_reject_a_vector_of_the_wrong_length():
     for search in (partition_nodes, layered_search):
         with pytest.raises(ValueError, match="vector covers 2 arcs but the network has 5"):
@@ -362,6 +431,37 @@ def test_projection_onto_batch_endpoints_decides_connectivity(seed):
             assert (extend_partition(projected, combo, expansion) is None) == (
                 extend_partition(part, combo, expansion) is None
             )
+
+
+def test_project_label_renumbers_by_first_occurrence():
+    # Positions 0 and 3 share a component, and so do 2 and 4.
+    label = "\x00\x01\x02\x00\x02"
+    assert project_label(label, (2, 4, 0, 3)) == "\x00\x00\x01\x01"
+    assert project_label(label, (1, 2)) == project_label("\x00\x00\x02", (0, 2))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_label_projection_onto_batch_endpoints_decides_connectivity(seed):
+    net, stages = random_scenario(random.Random(seed))
+    state = initial_stage(net)
+    for specs in stages[:-1]:
+        state, _ = run_expansion(state, Expansion.for_network(state.network, specs), final=False)
+    expansion = Expansion.for_network(state.network, stages[-1])
+    keep = frozenset({net.source, net.sink}).union(*expansion.arcs)
+    position = {v: i for i, v in enumerate(state.infeasible.nodes)}
+    positions = sorted(position[v] for v in keep if v in position)
+    by_key = {}
+    for part in {part for _, part, _, _ in state.infeasible.rows()}:
+        key = project_label(partition_label(part, position), positions)
+        by_key.setdefault(key, set()).add(part)
+    # Two labels share a key exactly when their partitions share a projection.
+    projections = [{project_partition(p, keep) for p in parts} for parts in by_key.values()]
+    assert all(len(projection) == 1 for projection in projections)
+    assert len(set().union(*projections)) == len(by_key)
+    for parts in by_key.values():
+        for combo in counting_vectors(expansion.arc_count):
+            assert len({extend_partition(p, combo, expansion) is None for p in parts}) == 1
 
 
 @settings(derandomize=True, deadline=None)

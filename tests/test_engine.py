@@ -38,7 +38,8 @@ from increl import (
     run_expansion,
     vector_probability,
 )
-from increl.connectivity import NodePartition, add_arc, add_nodes
+from increl import connectivity
+from increl.connectivity import label_add_arc, label_add_nodes, partition_label
 from helpers import (
     GRID_STAGES,
     bridge,
@@ -117,44 +118,55 @@ def test_stage_zero_walk_matches_the_per_vector_reference(net):
         assert _retained(state) == retained
 
 
-def test_stage_zero_takes_one_add_arc_step_per_vector(monkeypatch):
+def test_stage_zero_takes_one_label_step_per_vector(monkeypatch):
     steps = []
 
-    def counted_step(partition, arc):
-        steps.append(arc)
-        return add_arc(partition, arc)
+    def counted_step(label, ends):
+        steps.append(ends)
+        return label_add_arc(label, ends)
 
     def no_sweep(net, bits):
         raise AssertionError("stage 0 searched the graph")
 
-    monkeypatch.setattr(engine, "add_arc", counted_step)
+    monkeypatch.setattr(engine, "label_add_arc", counted_step)
     monkeypatch.setattr(engine, "partition_nodes", no_sweep)
     net = grid_3x3()
+    # Arc 1's ends, as positions among the nodes sorted.
+    first = tuple(sorted(net.nodes).index(v) for v in net.arcs[0])
     for trace in (None, lambda block: None):
         steps.clear()
         initial_stage(net, trace=trace)
         assert len(steps) == (1 << net.arc_count) - 1
         # Vector k steps by the arc of its lowest set bit: arc 1 every other vector.
-        assert collections.Counter(steps)[net.arcs[0]] == 1 << (net.arc_count - 1)
+        assert collections.Counter(steps)[first] == 1 << (net.arc_count - 1)
 
 
-def test_stage_zero_holds_a_stack_of_partitions_beyond_its_retained_set():
+def test_stage_zero_holds_a_stack_of_labels_beyond_its_retained_set(monkeypatch):
     net = grid_3x3()
-
-    def live():
-        # A partition holds frozensets, which stay tracked, so every live one is listed.
-        return sum(type(obj) is NodePartition for obj in gc.get_objects())
-
-    def at_the_last_vector(block):
-        if block.first_index == 1 << net.arc_count:
-            during.append(live())
-
+    steps = []
     during = []
-    before = live()
-    state = initial_stage(net, trace=at_the_last_vector)
-    distinct = len({id(part) for _, part, _, _ in state.infeasible.rows()})
-    # The interned retained partitions, the walk's m + 1 and the block's own.
-    assert during[0] - before <= distinct + net.arc_count + 2
+
+    def at_the_last_step(label, ends):
+        child = label_add_arc(label, ends)
+        steps.append(ends)
+        if len(steps) == (1 << net.arc_count) - 1:
+            # Every label is made by a step or by the base in `connectivity`.
+            made = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, connectivity.__file__)]
+            )
+            during.append(len(made.traces))
+        return child
+
+    monkeypatch.setattr(engine, "label_add_arc", at_the_last_step)
+    tracemalloc.start()
+    try:
+        state = initial_stage(net)
+    finally:
+        tracemalloc.stop()
+    distinct = len({part for _, part, _, _ in state.infeasible.rows()})
+    assert 0 < distinct < len(state.infeasible)
+    # One label per distinct retained partition, the walk's m + 1 and the step's own.
+    assert during[0] <= distinct + net.arc_count + 2
 
 
 def test_initial_stage_rejects_arcless_network():
@@ -540,12 +552,15 @@ def test_groups_of_equal_partitions_keep_their_own_rows(final):
     part = partition_nodes(net, (0, 0, 1, 1, 1))
     assert part == partition_nodes(net, (0, 0, 1, 1, 0)) and not is_connected(part)
     p = net.probabilities[0]
-    parents = RetainedSet(net.arc_count)
+    nodes = tuple(sorted(net.nodes))
+    parents = RetainedSet(net.arc_count, nodes, net.source, net.sink)
+    label = partition_label(part, {v: i for i, v in enumerate(nodes)})
     for offset, bit in ((1, 0), (2, 1)):
         parents.masks.append(0b1100)
         parents.probabilities.append(math.prod((1.0 - p, 1.0 - p, p, p)))
         parents.bases.append(0)
-        parents.kept.append((((offset, (bit,), bit << 4, (p if bit else 1.0 - p,)),), (part,)))
+        parents.kept.append((((offset, (bit,), bit << 4, (p if bit else 1.0 - p,)),), (label,)))
+    assert [row[1] for row in parents.rows()] == [part, part]
     state = EngineState(net, 0, 0.0, 0.0, parents)
     expansion = Expansion.for_network(net, bridge_stages()[0])
     reliability, retained, rows = _reference_expansion(state, expansion, final)
@@ -561,32 +576,38 @@ def test_groups_of_equal_partitions_keep_their_own_rows(final):
 
 
 def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
-    # One entry per base, in the order the bases are built: the add_arc
-    # steps taken from it, and whether one of them started from a
-    # partition that already connects.
+    # One entry per base, in the order the bases are built: the label
+    # steps taken from it, and whether one of them started from a label
+    # that already connects.
     bases = []
 
-    def counted_base(partition, nodes):
+    def counted_base(label, count):
         bases.append([0, False])
-        return add_nodes(partition, nodes)
+        return label_add_nodes(label, count)
 
-    def counted_step(partition, arc):
+    def counted_step(label, ends):
         bases[-1][0] += 1
-        bases[-1][1] |= partition.source_side is partition.sink_side
-        return add_arc(partition, arc)
+        bases[-1][1] |= label[s] == label[t]
+        return label_add_arc(label, ends)
 
-    monkeypatch.setattr(engine, "add_nodes", counted_base)
-    monkeypatch.setattr(engine, "add_arc", counted_step)
+    monkeypatch.setattr(engine, "label_add_nodes", counted_base)
+    monkeypatch.setattr(engine, "label_add_arc", counted_step)
     net = grid_3x3()
+    # The terminals' positions: the network's nodes come first, sorted.
+    s, t = (sorted(net.nodes).index(v) for v in (net.source, net.sink))
     state = initial_stage(net)
     steps = collections.Counter()
     examined = 0
     for k, specs in enumerate(GRID_STAGES):
         final = k == len(GRID_STAGES) - 1
+        # Equal labels are interned: one object per distinct value.
+        labels = [label for _, group in state.infeasible.kept for label in group]
+        assert len(set(map(id, labels))) == len(set(labels))
         partitions = [part for _, part, _, _ in state.infeasible.rows()]
         distinct = set(partitions)
-        # Equal partitions are interned: one object per distinct value,
-        # and so are equal components of different partitions.
+        assert len(distinct) == len(set(labels))
+        # `rows()` builds one partition per distinct label, and equal
+        # components of different partitions are one object.
         assert len(set(map(id, partitions))) == len(distinct)
         components = [c for p in distinct for c in (p.source_side, p.sink_side, *p.middle)]
         assert len({id(c) for c in components}) == len(set(components))
@@ -650,6 +671,83 @@ def test_one_arc_steps_give_each_combinations_extension(seed):
         state = kept
 
 
+def _renamed(net, stages, ids):
+    """The scenario with each node v renamed `ids[v]`."""
+    renamed = Network(
+        frozenset(ids[v] for v in net.nodes),
+        tuple((ids[u], ids[v]) for u, v in net.arcs),
+        net.probabilities,
+        ids[net.source],
+        ids[net.sink],
+    )
+    return renamed, [tuple((ids[u], ids[v], p) for u, v, p in specs) for specs in stages]
+
+
+def _staged(net, stages, traced):
+    """Each stage's comparable result, trace rows and retained labels' lengths."""
+    rows, results = [], []
+    trace = (lambda block: rows.extend(block.rows())) if traced else None
+    state = initial_stage(net, trace=trace)
+    for k, specs in enumerate([None, *stages]):
+        if specs is not None:
+            expansion = Expansion.for_network(state.network, specs)
+            state, result = run_expansion(state, expansion, k == len(stages), trace=trace)
+            results.append(_comparable(result))
+        n = state.network.node_count
+        assert len(state.infeasible.nodes) == n
+        assert {len(label) for _, labels in state.infeasible.kept for label in labels} <= {n}
+    results.append(state.reliability.hex())
+    return results, rows
+
+
+def _components(partition):
+    return partition.source_side, partition.sink_side, frozenset(partition.middle)
+
+
+# New node ids drawn at random past a million: they arrive out of order,
+# and a label's length is the node count, not the largest id.
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_traced_and_untraced_runs_agree_under_any_node_ids(seed, data):
+    net, stages = random_scenario(random.Random(seed))
+    nodes = sorted(cumulative_networks(net, stages)[-1].nodes)
+    drawn = data.draw(
+        st.lists(st.integers(1, 10**12), min_size=len(nodes), max_size=len(nodes), unique=True)
+    )
+    ids = dict(zip(nodes, drawn))
+    renamed, renamed_stages = _renamed(net, stages, ids)
+    plain, plain_rows = _staged(net, stages, traced=True)
+    assert _staged(net, stages, traced=False)[0] == plain
+    got, got_rows = _staged(renamed, renamed_stages, traced=True)
+    assert got == plain
+    assert _staged(renamed, renamed_stages, traced=False)[0] == plain
+    assert len(got_rows) == len(plain_rows)
+    back = {ids[v]: v for v in nodes}
+    for row, expected in zip(got_rows, plain_rows):
+        assert row._replace(partition=None) == expected._replace(partition=None)
+        sides = [frozenset(back[v] for v in comp) for comp in row.partition[:2]]
+        middle = frozenset(frozenset(back[v] for v in comp) for comp in row.partition.middle)
+        assert (*sides, middle) == _components(expected.partition)
+        assert (row.partition.source_side is row.partition.sink_side) == row.connected
+
+
+def test_new_node_ids_may_arrive_in_any_order():
+    # Node 100 arrives first, then 50, then a million.
+    stages = [
+        ((2, 100, 0.9), (4, 100, 0.8)),
+        ((3, 50, 0.7), (50, 100, 0.6)),
+        ((50, 10**6, 0.5), (10**6, 4, 0.4), (1, 10**6, 0.3)),
+    ]
+    in_order = {1: 1, 2: 2, 3: 3, 4: 4, 100: 5, 50: 6, 10**6: 7}
+    renamed, renamed_stages = _renamed(bridge(0.9), stages, in_order)
+    got, _ = _staged(bridge(0.9), stages, traced=True)
+    assert got == _staged(renamed, renamed_stages, traced=True)[0]
+    assert got == _staged(bridge(0.9), stages, traced=False)[0]
+    grown = cumulative_networks(bridge(0.9), stages)[-1]
+    reliability = float.fromhex(got[-1])
+    assert reliability == pytest.approx(brute_force_reliability(grown), abs=1e-12)
+
+
 # One arc between the terminals; its off state is the only retained vector.
 _ONE_ARC = Network(frozenset({1, 2}), ((1, 2),), (0.7,), 1, 2)
 # 17 arcs to grow it by: one more than a batch may hold.
@@ -700,6 +798,19 @@ def test_a_batch_of_17_arcs_is_refused_before_any_stage_work(monkeypatch):
         run(_ONE_ARC, [_WIDE_BATCH])
 
 
+def test_run_binds_and_checks_every_batch_before_stage_zero(monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("stage 0 ran before every batch was checked")
+
+    monkeypatch.setattr(engine, "initial_stage", no_stage)
+    first = bridge_stages()[0]
+    wide = [(1, 100 + k, 0.5) for k in range(17)]
+    with pytest.raises(CapExceededError, match="split"):
+        run(bridge(), [first, wide])
+    with pytest.raises(ExpansionError, match="parallel"):
+        run(bridge(), [first, bridge_stages()[1], first])
+
+
 def _rows_held(grown):
     """The bytes of the combinations' rows that a stage leaves allocated."""
     gc.collect()  # also empties the tuple free lists, which tracemalloc counts
@@ -725,6 +836,28 @@ def test_the_groups_of_a_stage_share_its_rows():
     # The stage's rows live on in the groups that refer to them.
     assert held > 0
     assert len(grown.infeasible.kept) < len(grown.infeasible)
+
+
+def test_an_entry_that_keeps_no_row_shares_one_empty_pair(monkeypatch):
+    entries = []
+    make_entry = engine._entry
+
+    def recorded(*args):
+        entries.append(make_entry(*args))
+        return entries[-1]
+
+    monkeypatch.setattr(engine, "_entry", recorded)
+    state = initial_stage(grid_3x3())
+    for k, specs in enumerate(GRID_STAGES):
+        final = k == len(GRID_STAGES) - 1
+        expansion = Expansion.for_network(state.network, specs)
+        for trace in (None, lambda block: None):
+            entries.clear()
+            grown, _ = run_expansion(state, expansion, final, trace=trace)
+            # A non-final entry keeps at least the combination of no new
+            # arc; a final one keeps nothing.
+            assert {pair is engine._NO_KEPT for _, _, pair in entries} == {final}
+        state = grown
 
 
 def test_an_untraced_final_stage_prices_only_the_children_it_connects(monkeypatch):
@@ -810,31 +943,30 @@ def test_a_retained_vector_costs_under_200_bytes_of_its_own(traced_stage2):
     snapshot, _, grown = traced_stage2
     # Allocations made by the engine's own lines: each group's slots in
     # the four columns, its mask a machine word, shared by the group's
-    # vectors; the kept rows and child partitions of each memo entry,
-    # shared by every group that refers to them; and the interned copy
-    # of each distinct partition, shared by every vector holding it.
-    # About 53 B; four column slots per vector, as before groups, read 60 B.
+    # vectors; the kept rows and child labels of each memo entry, shared
+    # by every group that refers to them; and the interned copy of each
+    # distinct label, shared by every vector holding it. About 26 B;
+    # interned `NodePartition`s in place of labels read 53 B.
     own = snapshot.filter_traces([tracemalloc.Filter(True, engine.__file__)])
     per_vector = sum(trace.size for trace in own.traces) / len(grown.infeasible)
-    assert per_vector < 58
+    assert per_vector < 30
 
 
 def test_a_retained_vector_costs_under_300_bytes_in_all(traced_stage2):
     snapshot, _, grown = traced_stage2
-    # Every allocation the stage leaves behind, components included: the
-    # kernel builds only the components a selected arc joins, and the
-    # engine interns them, so partitions share them. About 89 B.
+    # Every allocation the stage leaves behind: a label is one string
+    # with one character per node, and holds no component sets. About
+    # 49 B; `NodePartition`s, sharing interned components, read 89 B.
     per_vector = sum(trace.size for trace in snapshot.traces) / len(grown.infeasible)
-    assert per_vector < 95
+    assert per_vector < 55
 
 
 def test_a_stage_peaks_under_160_bytes_per_retained_vector(traced_stage2):
     _, peak, grown = traced_stage2
     # The peak adds what the stage drops at its end, the memo above all:
     # an entry refers to the stage's rows, one pointer per kept row.
-    # About 142 B; copying each kept row's offset, mask and factors
-    # into the entry would add about 18 B.
-    assert peak / len(grown.infeasible) < 150
+    # About 79 B; `NodePartition`s in place of labels read 142 B.
+    assert peak / len(grown.infeasible) < 90
 
 
 @settings(derandomize=True, deadline=None)
