@@ -7,26 +7,20 @@ source and sink share a component. Partitions of infeasible vectors are
 kept and updated when new arcs arrive, so later growth stages never
 search the full graph again.
 
-Middle components are stored individually rather than as one flat node
-set: an arriving arc that touches one node of a middle component must
-drag the whole component into whichever side it connects to, and only
-a per-component representation can express that. Components are
-immutable, so partitions share them.
+Every update runs on one form, a label: one `str` with one character
+per node of a fixed node order. Character i is `chr(j)`, where j is
+the smallest position in node i's component, so equal partitions have
+equal labels. Two nodes share a component exactly when their
+characters are equal, and one working arc is one `str.replace`
+(`label_add_arc`), the one union step of the package; a batch's new
+nodes are appended each alone (`label_add_nodes`).
 
-Every update is built from one step, `add_arc`: one more working arc
-either falls inside a component and changes nothing, or joins two
-components into one new set, and every other component of the result
-is the parent's own object. `extend_partition` and
-`extend_partition_detail` fold that step over a batch's selected arcs,
-starting from the parent plus the batch's new nodes (`add_nodes`).
-
-The engine carries partitions in a second, flat form: a label, one
-`str` with one character per node of a fixed node order. Character i
-is `chr(j)`, where j is the smallest position in node i's component,
-so equal partitions have equal labels. Two nodes share a component
-exactly when their characters are equal, and one working arc is one
-`str.replace` (`label_add_arc`). `partition_label` and
-`label_partition` convert between the two forms.
+`NodePartition` is the form the public API hands in and out, with its
+middle components stored individually and shared between partitions.
+`partition_label` and `label_partition` convert between the two forms,
+and `extend_partition` and `extend_partition_detail` take and return
+`NodePartition`s but fold `label_add_arc` inside. `partition_nodes`
+builds a partition by searching the graph, independently of labels.
 """
 
 from __future__ import annotations
@@ -169,63 +163,6 @@ def project_partition(partition: NodePartition, keep: frozenset[int]) -> NodePar
     return NodePartition(source_side, sink_side, middle)
 
 
-def add_nodes(partition: NodePartition, nodes: frozenset[int]) -> NodePartition:
-    """The partition with each of `nodes` added as a singleton component.
-
-    The base every extension starts from: the parent partition plus an
-    expansion's new nodes, with no new arc yet. Without new nodes it is
-    the partition itself.
-    """
-    if not nodes:
-        return partition
-    middle = tuple(sorted([*partition.middle, *(frozenset((v,)) for v in nodes)], key=min))
-    return NodePartition(partition.source_side, partition.sink_side, middle)
-
-
-def _locate(partition: NodePartition, node: int) -> int:
-    """-2 for the source side, -1 for the sink side, else the middle position."""
-    if node in partition.source_side:
-        return -2
-    if node in partition.sink_side:
-        return -1
-    for k, comp in enumerate(partition.middle):
-        if node in comp:
-            return k
-    raise ExpansionError(f"arc endpoint {node} is not a known node")
-
-
-def add_arc(partition: NodePartition, arc: tuple[int, int]) -> NodePartition:
-    """The partition after one more working arc.
-
-    Returns `partition` itself when the arc's ends already share a
-    component. Otherwise the two components become one new set, and
-    every other component stays the parent's own object. When the arc
-    joins the source and sink sides, both sides of the result are that
-    one set, so `part.source_side is part.sink_side` tells a merge.
-    Middle components stay ordered by smallest member: the joined set
-    takes the place of the earlier of the two.
-    """
-    first, second = _locate(partition, arc[0]), _locate(partition, arc[1])
-    if first == second:
-        return partition
-    if first > second:
-        first, second = second, first
-    source_side, sink_side, middle = partition
-    if second == -1:
-        joined = source_side | sink_side
-        return NodePartition(joined, joined, middle)
-    other = middle[second]
-    rest = middle[:second] + middle[second + 1 :]
-    if first == -2:
-        joined = source_side | other
-        # A connected partition's sides are one object, and stay so.
-        return NodePartition(joined, joined if sink_side is source_side else sink_side, rest)
-    if first == -1:
-        return NodePartition(source_side, sink_side | other, rest)
-    joined = middle[first] | other
-    return NodePartition(source_side, sink_side, rest[:first] + (joined,) + rest[first + 1 :])
-
-
 def extend_partition(
     partition: NodePartition, selected: Sequence[int], expansion: Expansion
 ) -> NodePartition | None:
@@ -245,12 +182,14 @@ def extend_partition_detail(
 ) -> tuple[bool, NodePartition]:
     """Like extend_partition, but always materializes the partition.
 
-    A fold of `add_arc` over the selected arcs in arc order, from the
-    partition plus the expansion's new nodes. It stops at the arc that
-    joins the sides, so a traced stage sees the partition as it stood
-    at the merge, with source and sink fields holding the same merged
-    set. For a disconnected `partition` the flag is True exactly when
-    the returned sides are one object, so `part.source_side is
+    A fold of `label_add_arc` over the selected arcs in arc order. The
+    label is over the partition's nodes sorted, then the expansion's new
+    nodes sorted, each new node alone. It stops at the arc that joins
+    the sides, so a traced stage sees the partition as it stood at the
+    merge, with source and sink fields holding the same merged set.
+    Every component no selected arc touched is the parent's own object.
+    For a disconnected `partition` the flag is True exactly when the
+    returned sides are one object, so `part.source_side is
     part.sink_side` alone tells a merge.
     """
     if len(selected) != len(expansion.arcs):
@@ -261,13 +200,30 @@ def extend_partition_detail(
     if is_connected(partition):
         # Connectivity is never lost by adding arcs.
         return True, partition
-    part = add_nodes(partition, expansion.new_nodes)
-    for bit, arc in zip(selected, expansion.arcs):
+    comps = (partition.source_side, partition.sink_side, *partition.middle)
+    nodes = sorted(v for comp in comps for v in comp)
+    position = {v: i for i, v in enumerate(nodes)}
+    new = sorted(expansion.new_nodes)
+    label = label_add_nodes(partition_label(partition, position), len(new))
+    position.update((v, i) for i, v in enumerate(new, len(nodes)))
+    nodes += new
+    # Any member of a side names its terminal.
+    source, sink = next(iter(partition.source_side)), next(iter(partition.sink_side))
+    s, t = position[source], position[sink]
+    for bit, (u, v) in zip(selected, expansion.arcs):
         if bit:
-            part = add_arc(part, arc)
-            if part.source_side is part.sink_side:
-                return True, part
-    return False, part
+            try:
+                ends = position[u], position[v]
+            except KeyError as missing:
+                node = missing.args[0]
+                raise ExpansionError(f"arc endpoint {node} is not a known node") from None
+            label = label_add_arc(label, ends)
+            if label[s] == label[t]:
+                break
+    # Seeding the table with the parent's components keeps every one no
+    # arc touched as the parent's own object.
+    part = label_partition(label, nodes, source, sink, {comp: comp for comp in comps})
+    return label[s] == label[t], part
 
 
 def label_add_arc(label: str, ends: tuple[int, int]) -> str:
@@ -293,11 +249,15 @@ def partition_label(partition: NodePartition, position: Mapping[int, int]) -> st
     """The label of `partition` over the node order that `position` numbers.
 
     `position` maps each node to its 0-based place in the order, and
-    the partition must cover exactly those nodes.
+    the partition must cover exactly those nodes: a node outside the
+    order, or a node of the order left out, raises `ValueError`.
     """
     chars = [""] * len(position)
     for comp in (partition.source_side, partition.sink_side, *partition.middle):
-        places = [position[v] for v in comp]
+        try:
+            places = [position[v] for v in comp]
+        except KeyError as missing:
+            raise ValueError(f"node {missing.args[0]} is not in the node order") from None
         char = chr(min(places))
         for i in places:
             chars[i] = char

@@ -20,7 +20,8 @@ their two characters are equal; one working arc is one
 plus its new nodes, is the parent label with one character appended
 per new node. A `NodePartition` is built only at the edge, once per
 distinct label, with its components interned: by `RetainedSet.rows()`
-and `RetainedSet.append`, and for a traced stage's `TraceBlock`s.
+and for a traced stage's `TraceBlock`s. `RetainedSet.append` takes one
+in and keeps only its label.
 
 Stage 0 walks the binary-addition tree: each vector's working arcs
 from its lowest one up are those of a vector already met plus that one
@@ -186,31 +187,24 @@ class RetainedSet:
 
     `append` adds one vector, with its `NodePartition`, as a group of
     its own, whose one row is `_IDENTITY_ROW`; such groups share one
-    pair per label. A set made without a node order takes the sorted
-    nodes of the first partition appended, and `rows()` gives back the
-    partition first appended with each label, so a set made without
-    its terminals reads back too. Stage 0 keeps its vectors as such
-    groups. `masks` is an `array('Q')` of machine words while
+    pair per label. The partition must cover exactly `nodes`, with
+    `source` in its source side and `sink` in its sink side, or
+    `append` raises `ValueError`; `rows()` then gives back the partition
+    the engine computes on. Stage 0 keeps its vectors as such groups.
+    `masks` is an `array('Q')` of machine words while
     `arc_count`, the network's, is at most 64, and a list of ints past
     that, since masks then outgrow a word. Either form takes `append`.
     """
 
-    __slots__ = (
-        "masks", "probabilities", "bases", "kept", "nodes", "source", "sink",
-        "_singles", "_appended",
-    )
+    __slots__ = ("masks", "probabilities", "bases", "kept", "nodes", "source", "sink", "_singles")
 
-    def __init__(
-        self, arc_count: int = 0, nodes: tuple[int, ...] = (), source: int = 0, sink: int = 0
-    ) -> None:
+    def __init__(self, arc_count: int, nodes: tuple[int, ...], source: int, sink: int) -> None:
         self.masks: array | list[int] = array("Q") if arc_count <= _WORD_BITS else []
         self.probabilities = array("d")
         self.bases = array("q")
         self.kept: list[tuple[tuple[_Row, ...], tuple[str, ...]]] = []
         self.nodes, self.source, self.sink = nodes, source, sink
         self._singles: dict[str, tuple] = {}
-        # The partition each appended label came with.
-        self._appended: dict[str, NodePartition] = {}
 
     def __len__(self) -> int:
         return sum([len(labels) for _, labels in self.kept])
@@ -227,17 +221,17 @@ class RetainedSet:
 
     def append(self, mask: int, partition: NodePartition, index: int, probability: float) -> None:
         """Add one vector as a group of one row."""
-        if not self.nodes:
-            comps = (partition.source_side, partition.sink_side, *partition.middle)
-            self.nodes = tuple(sorted({v for comp in comps for v in comp}))
+        if self.source not in partition.source_side or self.sink not in partition.sink_side:
+            raise ValueError(
+                f"a partition over terminals {self.source} and {self.sink} must hold "
+                "them on its source and sink sides"
+            )
         label = partition_label(partition, {v: i for i, v in enumerate(self.nodes)})
-        self._appended.setdefault(label, partition)
         self._add(mask, label, index, probability)
 
     def rows(self) -> Iterator[tuple[int, NodePartition, int, float]]:
         """Each vector's mask, partition, generation index and probability, in order."""
         partitions = _Partitions(self.nodes, self.source, self.sink)
-        partitions.update(self._appended)
         for mask, probability, base, (rows, labels) in zip(
             self.masks, self.probabilities, self.bases, self.kept
         ):
@@ -594,8 +588,7 @@ def run_expansion(
     combos = (1 << expansion.arc_count) - final
 
     parents = state.infeasible
-    old_nodes = parents.nodes or tuple(sorted(net.nodes))
-    nodes = old_nodes + tuple(sorted(expansion.new_nodes))
+    nodes = parents.nodes + tuple(sorted(expansion.new_nodes))
     position = {v: i for i, v in enumerate(nodes)}
     ends = [(position[u], position[v]) for u, v in expansion.arcs]
     s, t = position[net.source], position[net.sink]
@@ -609,7 +602,7 @@ def run_expansion(
     projected = final and not traced
     # The positions that decide an untraced final stage: the terminals
     # and the batch's endpoints the parent labels cover.
-    keep = sorted(i for i in {s, t}.union(*ends) if i < len(old_nodes))
+    keep = sorted(i for i in {s, t}.union(*ends) if i < len(parents.nodes))
     rows = tuple(_rows(expansion, shift, final))
     stage_combos = tuple(row[1] for row in rows)
     memo: dict[str, _Entry] = {}

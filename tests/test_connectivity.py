@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from increl import (
     Expansion,
     ExpansionError,
+    Network,
     NodePartition,
     concat_bits,
     counting_vectors,
@@ -25,8 +26,6 @@ from increl import (
     run_expansion,
 )
 from increl.connectivity import (
-    add_arc,
-    add_nodes,
     label_add_arc,
     label_add_nodes,
     label_partition,
@@ -190,42 +189,6 @@ def test_extend_detail_reports_merged_sets():
     assert merged.middle == (frozenset({3}),)
 
 
-def test_add_arc_within_a_component_returns_the_partition_itself():
-    part = partition_nodes(bridge(), (0, 0, 1, 0, 0))
-    assert add_arc(part, (3, 2)) is part
-
-
-def test_add_arc_joins_two_middle_components_in_place_of_the_earlier():
-    part = NodePartition(
-        frozenset({1}), frozenset({9}), (frozenset({2}), frozenset({3, 7}), frozenset({4, 5}))
-    )
-    joined = add_arc(part, (5, 2))
-    assert joined.middle == (frozenset({2, 4, 5}), frozenset({3, 7}))
-    assert joined.middle[1] is part.middle[1]
-    assert joined.source_side is part.source_side and joined.sink_side is part.sink_side
-
-
-def test_add_arc_across_the_sides_makes_them_one_object():
-    part = NodePartition(frozenset({1, 2}), frozenset({4}), (frozenset({3}),))
-    merged = add_arc(part, (4, 2))
-    assert merged.source_side is merged.sink_side == frozenset({1, 2, 4})
-    assert merged.middle is part.middle
-    # A connected partition keeps its sides one object.
-    grown = add_arc(merged, (3, 1))
-    assert grown.source_side is grown.sink_side == frozenset({1, 2, 3, 4})
-    assert grown.middle == ()
-
-
-def test_add_nodes_adds_singletons_in_order():
-    part = NodePartition(frozenset({1}), frozenset({4}), (frozenset({2, 6}),))
-    assert add_nodes(part, frozenset()) is part
-    assert add_nodes(part, frozenset({5, 3})).middle == (
-        frozenset({2, 6}),
-        frozenset({3}),
-        frozenset({5}),
-    )
-
-
 def test_label_add_arc_gives_the_joined_component_its_smallest_position():
     # Positions 1 and 2 share a component; 0, 3 and 4 are each alone.
     label = "\x00\x01\x01\x03\x04"
@@ -261,6 +224,12 @@ def test_labels_and_partitions_convert_both_ways():
     assert second.middle[0] is first.middle[1]
     with pytest.raises(ValueError, match="cover"):
         partition_label(part, {**position, 7: 6})
+
+
+def test_partition_label_names_a_node_outside_the_order():
+    part = NodePartition(frozenset({1}), frozenset({3}), (frozenset({7}),))
+    with pytest.raises(ValueError, match="node 7 is not in the node order"):
+        partition_label(part, {1: 0, 2: 1, 3: 2})
 
 
 # A network drawn with every batch's arcs, and a node order drawn with it.
@@ -306,6 +275,31 @@ def test_extend_rejects_an_arc_to_an_unknown_node():
     assert extend_partition(part, (0,), stray) is not None
     with pytest.raises(ExpansionError, match="arc endpoint 9 is not a known node"):
         extend_partition(part, (1,), stray)
+
+
+def test_new_nodes_that_sort_below_the_old_ones_extend_like_a_fresh_search():
+    # The fold orders the partition's nodes first, then the batch's new
+    # node 5, which sorts below all of them.
+    net = Network(
+        frozenset({10, 20, 30, 40}),
+        ((10, 20), (20, 30), (30, 40), (10, 30)),
+        (0.9,) * 4,
+        10,
+        40,
+    )
+    expansion = Expansion.for_network(net, ((20, 5, 0.9), (5, 40, 0.9), (10, 5, 0.9)))
+    grown = extend_network(net, expansion)
+    for bits in counting_vectors(net.arc_count):
+        part = partition_nodes(net, bits)
+        for combo in counting_vectors(expansion.arc_count):
+            scratch = partition_nodes(grown, concat_bits(bits, combo))
+            connected, child = extend_partition_detail(part, combo, expansion)
+            assert connected == is_connected(scratch)
+            if connected:
+                assert extend_partition(part, combo, expansion) is None
+            else:
+                assert child == scratch
+                assert extend_partition(part, combo, expansion) == scratch
 
 
 def test_connectivity_oracle_equivalence():

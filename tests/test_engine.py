@@ -19,6 +19,7 @@ from increl import (
     Expansion,
     ExpansionError,
     Network,
+    NodePartition,
     RetainedSet,
     StageResult,
     TraceRow,
@@ -228,12 +229,13 @@ def test_expansion_after_final_rejected():
 
 def test_empty_retained_set_is_a_no_op():
     state = initial_stage(bridge(0.9))
+    net = state.network
     empty = EngineState(
-        network=state.network,
+        network=net,
         stage_index=state.stage_index,
         reliability_sum=state.reliability_sum,
         reliability_comp=state.reliability_comp,
-        infeasible=RetainedSet(),
+        infeasible=RetainedSet(net.arc_count, state.infeasible.nodes, net.source, net.sink),
     )
     expansion = Expansion.for_network(empty.network, bridge_stages()[0])
     updated, result = run_expansion(empty, expansion, final=False)
@@ -426,9 +428,10 @@ def _retained(state):
     ]
 
 
-def _sliced(retained, piece):
-    """A retained set holding a slice of the vectors, each a group of its own."""
-    part = RetainedSet()
+def _sliced(state, piece):
+    """A retained set holding a slice of the state's vectors, each a group of its own."""
+    net, retained = state.network, state.infeasible
+    part = RetainedSet(net.arc_count, retained.nodes, net.source, net.sink)
     for row in list(retained.rows())[piece]:
         part.append(*row)
     return part
@@ -503,14 +506,15 @@ def _long_ladder(arc_count):
 
 @pytest.mark.parametrize("arc_count", [63, 65])
 def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
-    assert isinstance(RetainedSet(64).masks, array)
-    assert RetainedSet(64).masks.typecode == "Q"
-    assert type(RetainedSet(65).masks) is list
     net = _long_ladder(arc_count)
+    nodes = tuple(sorted(net.nodes))
+    assert isinstance(RetainedSet(64, nodes, net.source, net.sink).masks, array)
+    assert RetainedSet(64, nodes, net.source, net.sink).masks.typecode == "Q"
+    assert type(RetainedSet(65, nodes, net.source, net.sink).masks) is list
     rng = random.Random(arc_count)
     # A few vectors with the source's two arcs failed, so none joins the
     # terminals, and the last arc working.
-    parents = RetainedSet(arc_count)
+    parents = RetainedSet(arc_count, nodes, net.source, net.sink)
     for index in range(1, 6):
         bits = (0, 0, *(int(rng.random() < 0.7) for _ in range(arc_count - 3)), 1)
         part = partition_nodes(net, bits)
@@ -531,9 +535,24 @@ def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
     assert max(mask for mask, _, _, _ in grown.infeasible.rows()) >= 1 << 64
 
 
+def test_append_refuses_a_partition_that_the_set_would_read_otherwise():
+    retained = RetainedSet(3, (1, 2, 3), 1, 3)
+    # The label of {2} | {3} | {1} over this order reads {1} as the source side.
+    swapped = NodePartition(frozenset({2}), frozenset({3}), (frozenset({1}),))
+    with pytest.raises(ValueError, match="terminals 1 and 3"):
+        retained.append(0, swapped, 1, 0.5)
+    stray = NodePartition(frozenset({1}), frozenset({3}), (frozenset({7}),))
+    with pytest.raises(ValueError, match="node 7 is not in the node order"):
+        retained.append(0, stray, 1, 0.5)
+    assert len(retained) == 0
+    part = NodePartition(frozenset({1}), frozenset({3}), (frozenset({2}),))
+    retained.append(0, part, 1, 0.5)
+    assert list(retained.rows()) == [(0, part, 1, 0.5)]
+
+
 def test_a_slice_of_the_retained_set_runs_a_stage():
     state = initial_stage(bridge(0.9))
-    state = state._replace(infeasible=_sliced(state.infeasible, slice(5, 12)))
+    state = state._replace(infeasible=_sliced(state, slice(5, 12)))
     expansion = Expansion.for_network(state.network, bridge_stages()[0])
     reliability, retained, rows = _reference_expansion(state, expansion, final=False)
     grown, result = run_expansion(state, expansion, final=False)
@@ -826,6 +845,8 @@ def test_the_groups_of_a_stage_share_its_rows():
     state = initial_stage(bridge(0.9))
     expansion = Expansion.for_network(state.network, bridge_stages()[0])
     _, expected, _ = _reference_expansion(state, expansion, final=False)
+    # Rows built from tuples freed before tracing starts would go uncounted.
+    gc.collect()
     tracemalloc.start()
     try:
         grown, _ = run_expansion(state, expansion, final=False)
@@ -925,7 +946,7 @@ def traced_stage2():
         state, Expansion.for_network(state.network, GRID_STAGES[0]), final=False
     )
     expansion = Expansion.for_network(state.network, GRID_STAGES[1])
-    state = state._replace(infeasible=_sliced(state.infeasible, slice(1000)))
+    state = state._replace(infeasible=_sliced(state, slice(1000)))
     gc.collect()
     tracemalloc.start()
     try:

@@ -138,3 +138,33 @@ def test_every_private_function_and_class_of_the_package_is_used():
         and node.name not in used
     ]
     assert defined == []
+
+
+def test_every_public_function_and_class_is_exported_or_used_by_another_module():
+    # `__init__.py` imports what `__all__` lists, so its imports do not count as a use.
+    modules = _modules()
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in modules["__init__.py"].body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    )
+    used = {}
+    for name, tree in modules.items():
+        used[name] = _referenced(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used[name].update(alias.name for alias in node.names)
+    unused = []
+    for name in ("connectivity.py", "engine.py", "enumeration.py", "model.py", "netfile.py",
+                 "oracle.py"):
+        others = (u for other, u in used.items() if other not in (name, "__init__.py"))
+        elsewhere = set().union(*others)
+        unused += [
+            f"{name} {node.name}"
+            for node in modules[name].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in exported
+            and node.name not in elsewhere
+        ]
+    assert unused == []
