@@ -13,7 +13,8 @@ expansion.
 
 ``run --trace DIR`` writes ``stageK.csv`` per stage, one row per
 examined vector. The engine hands the rows over as one `TraceBlock`
-per parent vector, and `TraceDirectory` writes each block at once.
+per parent vector, and `TraceDirectory` writes each block at once,
+rendering the set columns from the outcome labels, not partitions.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, count
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import increl
-from increl.connectivity import NodePartition
 from increl.engine import StageResult, TraceBlock, TraceRow, full_enumeration_counts, run
 from increl.model import Bits, CapExceededError, ExpansionError, ParseError
 from increl.netfile import parse_expansion_specs, parse_network
@@ -46,17 +47,6 @@ def format_nodes(nodes: Iterable[int]) -> str:
 TRACE_HEADER = "i,j,vector,source_set,middle_set,sink_set,connected"
 
 
-def _format_sets(part: NodePartition) -> str:
-    """The ``source_set,middle_set,sink_set`` columns of a trace row."""
-    return ",".join(
-        (
-            format_nodes(part.source_side),
-            format_nodes(part.middle_union()),
-            format_nodes(part.sink_side),
-        )
-    )
-
-
 # Renders a 0/1 vector in one C-level pass: bytes((0, 1)) -> "01".
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -66,59 +56,55 @@ def _bit_string(bits: Bits) -> str:
 
 
 def format_trace_row(row: TraceRow) -> str:
-    return (
-        f"{row.parent_index},{row.index},{_bit_string(row.bits)},"
-        f"{_format_sets(row.partition)},{'Y' if row.connected else ''}"
-    )
+    part = row.partition
+    sets = ",".join(map(format_nodes, (part.source_side, part.middle_union(), part.sink_side)))
+    head = f"{row.parent_index},{row.index},{_bit_string(row.bits)}"
+    return f"{head},{sets},{'Y' if row.connected else ''}"
 
 
-class _NodeSets(dict):
-    """Each node set's rendering, made on first use and looked up after that."""
+class _LabelColumns(dict):
+    """Each outcome label's ``source_set,middle_set,sink_set,connected`` columns.
 
-    def __missing__(self, nodes: frozenset[int]) -> str:
-        text = self[nodes] = format_nodes(nodes)
-        return text
-
-
-class _SetColumns(dict):
-    """Each partition's ``source_set,middle_set,sink_set,connected`` columns.
-
-    Rendered on first use and looked up by value after that. Partitions
-    share their source and sink sides, so each side's rendering is
-    looked up too.
+    One per stage, over the nodes and terminals of `TraceBlock.partitions`.
+    Rendered on first use, in one pass over the label's characters in
+    node-id order, so each set comes out sorted as `format_nodes` gives
+    it: a node shares the source's character, the sink's, or neither.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, partitions) -> None:
         super().__init__()
-        self.sides = _NodeSets()
+        nodes = partitions.nodes
+        self.s, self.t = nodes.index(partitions.source), nodes.index(partitions.sink)
+        order = sorted(range(len(nodes)), key=nodes.__getitem__)
+        # A tuple of characters: a network has at least its two terminals.
+        self.by_id, self.names = itemgetter(*order), [str(nodes[i]) for i in order]
 
-    def __missing__(self, part: NodePartition) -> str:
-        source, sink = self.sides[part.source_side], self.sides[part.sink_side]
-        # Middle components are disjoint: their nodes, chained, are the middle set.
-        middle = format_nodes(chain.from_iterable(part.middle))
-        connected = "Y" if part.source_side is part.sink_side else ""
-        columns = self[part] = f"{source},{middle},{sink},{connected}"
+    def __missing__(self, label: str) -> str:
+        source_char, sink_char = label[self.s], label[self.t]
+        source, middle, sink = [], [], []
+        # When the terminals share a character it maps to `source`, and `sink` stays empty.
+        side = {sink_char: sink, source_char: source}.get
+        for char, name in zip(self.by_id(label), self.names):
+            side(char, middle).append(name)
+        sets = "},{".join([" ".join(source), " ".join(middle), " ".join(sink or source)])
+        columns = self[label] = f"{{{sets}}},{'Y' if source_char == sink_char else ''}"
         return columns
-
-    def clear(self) -> None:
-        super().clear()
-        self.sides.clear()
 
 
 class TraceDirectory:
     """Streams trace blocks into one CSV file per stage, one write per block.
 
     The blocks of a stage share one combination tuple, and many rows
-    share a partition. So each combination's bit string is rendered
-    once per tuple, each partition's set columns once per stage, and
-    a row joins the parent's bit string to those.
+    share an outcome label. So each combination's bit string is
+    rendered once per tuple, each label's set columns once per stage,
+    and a row joins the parent's bit string to those.
     """
 
     def __init__(self, directory: Path):
         self.directory = directory
         directory.mkdir(parents=True, exist_ok=True)
         self._files: dict[int, TextIO] = {}
-        self._sets = _SetColumns()
+        self._columns: dict[str, str] = {}
         # Holding the tuple keeps its identity from passing to another one.
         self._combos: tuple[Bits, ...] = ()
         self._tails: tuple[str, ...] = ()
@@ -129,20 +115,20 @@ class TraceDirectory:
             handle = (self.directory / f"stage{block.stage}.csv").open("w", encoding="utf-8")
             handle.write(TRACE_HEADER + "\n")
             self._files[block.stage] = handle
-            self._sets.clear()
+            self._columns = _LabelColumns(block.partitions)
         if block.combos is not self._combos:
             self._combos = block.combos
             self._tails = tuple(map(_bit_string, block.combos))
-        sets, i = self._sets, block.parent_index
-        head = _bit_string(block.head)
-        rows = zip(count(block.first_index), self._tails, block.outcomes)
-        handle.write("".join([f"{i},{j},{head}{tail},{sets[part]}\n" for j, tail, part in rows]))
+        columns = self._columns
+        parent, head = f"{block.parent_index},", f",{_bit_string(block.head)}"
+        rows = zip(count(block.first_index), self._tails, block.labels)
+        handle.write("".join([f"{parent}{j}{head}{tail},{columns[c]}\n" for j, tail, c in rows]))
 
     def close(self) -> None:
         for handle in self._files.values():
             handle.close()
         self._files.clear()
-        self._sets.clear()
+        self._columns = {}
         self._combos, self._tails = (), ()
 
 

@@ -19,9 +19,9 @@ their two characters are equal; one working arc is one
 `label_add_arc` step, a `str.replace`; and a batch's base, the parent
 plus its new nodes, is the parent label with one character appended
 per new node. A `NodePartition` is built only at the edge, once per
-distinct label, with its components interned: by `RetainedSet.rows()`
-and for a traced stage's `TraceBlock`s. `RetainedSet.append` takes one
-in and keeps only its label.
+distinct label, with its components interned: by `RetainedSet.rows()`,
+and by a traced `TraceBlock`'s `outcomes` or `rows()` when read.
+`RetainedSet.append` takes one in and keeps only its label.
 
 Stage 0 walks the binary-addition tree: each vector's working arcs
 from its lowest one up are those of a vector already met plus that one
@@ -69,8 +69,8 @@ visits only the retained vectors that some combination connects, and
 of each only those combinations.
 
 A trace callback gets one `TraceBlock` per parent vector: the entry's
-outcomes and the stage's shared combinations, so tracing adds no
-object per examined vector; `TraceBlock.rows` spells the rows out.
+outcome labels, and the stage's shared combinations and label cache,
+so tracing adds no object per examined vector.
 
 Reliability is accumulated with compensated summation in a fixed
 order, so identical inputs produce bit-identical results. The cyclic
@@ -147,9 +147,9 @@ _IDENTITY_ROW: _Row = (0, (), 0, ())
 class _Partitions(dict):
     """Each label's `NodePartition`, built on first use and looked up after that.
 
-    The labels are over the node order `nodes`. The components of the
-    partitions one cache builds are interned in one table, so equal
-    components are one object.
+    The labels are over the node order `nodes`, with terminals `source`
+    and `sink`. The components of the partitions one cache builds are
+    interned in one table, so equal components are one object.
     """
 
     def __init__(self, nodes: Sequence[int], source: int, sink: int) -> None:
@@ -196,7 +196,10 @@ class RetainedSet:
     that, since masks then outgrow a word. Either form takes `append`.
     """
 
-    __slots__ = ("masks", "probabilities", "bases", "kept", "nodes", "source", "sink", "_singles")
+    __slots__ = (
+        "masks", "probabilities", "bases", "kept", "nodes", "source", "sink", "_singles",
+        "_position",
+    )
 
     def __init__(self, arc_count: int, nodes: tuple[int, ...], source: int, sink: int) -> None:
         self.masks: array | list[int] = array("Q") if arc_count <= _WORD_BITS else []
@@ -205,6 +208,7 @@ class RetainedSet:
         self.kept: list[tuple[tuple[_Row, ...], tuple[str, ...]]] = []
         self.nodes, self.source, self.sink = nodes, source, sink
         self._singles: dict[str, tuple] = {}
+        self._position: dict[int, int] | None = None
 
     def __len__(self) -> int:
         return sum([len(labels) for _, labels in self.kept])
@@ -226,8 +230,9 @@ class RetainedSet:
                 f"a partition over terminals {self.source} and {self.sink} must hold "
                 "them on its source and sink sides"
             )
-        label = partition_label(partition, {v: i for i, v in enumerate(self.nodes)})
-        self._add(mask, label, index, probability)
+        if self._position is None:
+            self._position = {v: i for i, v in enumerate(self.nodes)}
+        self._add(mask, partition_label(partition, self._position), index, probability)
 
     def rows(self) -> Iterator[tuple[int, NodePartition, int, float]]:
         """Each vector's mask, partition, generation index and probability, in order."""
@@ -300,8 +305,11 @@ class TraceBlock(NamedTuple):
     """The examined vectors one parent vector makes, for a trace callback.
 
     Row i is the vector `head + combos[i]`, with generation index
-    `first_index + i` and partition `outcomes[i]`; it connects the
+    `first_index + i` and partition label `labels[i]`; it connects the
     terminals exactly when that partition's two sides are one object.
+    `outcomes` maps the labels through `partitions`, the stage's one
+    shared label -> `NodePartition` cache, so a partition is built only
+    when a caller reads `outcomes` or `rows()`.
     A growth stage hands over one block per retained parent vector,
     and its blocks share one `combos` tuple. Stage 0 hands over one
     block per vector, with the whole vector as `head` and the single
@@ -315,7 +323,13 @@ class TraceBlock(NamedTuple):
     first_index: int
     head: Bits
     combos: tuple[Bits, ...]
-    outcomes: tuple[NodePartition, ...]
+    labels: tuple[str, ...]
+    partitions: _Partitions
+
+    @property
+    def outcomes(self) -> tuple[NodePartition, ...]:
+        """Each row's partition, in row order."""
+        return tuple(map(self.partitions.__getitem__, self.labels))
 
     def rows(self) -> Iterator[TraceRow]:
         """One `TraceRow` per examined vector, in generation order."""
@@ -331,14 +345,14 @@ TraceFn = Callable[[TraceBlock], None]
 # The combinations of a stage-0 block: the vector is all head.
 _NO_COMBOS: tuple[Bits, ...] = ((),)
 
-# What one label makes of the stage's rows: the partition of each row's
+# What one label makes of the stage's rows: the label of each row's
 # outcome (filled on a traced stage only), the factors of the rows that
 # connect the terminals, and the pair of the rows a non-final stage
 # keeps, as the stage's own row objects, and the child label of each,
 # or `_NO_KEPT`. Every part is in row order. The next stage's groups
 # refer to the pair.
 _Entry = tuple[
-    tuple[NodePartition, ...],
+    tuple[str, ...],
     tuple[tuple[float, ...], ...],
     tuple[tuple[_Row, ...], tuple[str, ...]],
 ]
@@ -399,18 +413,17 @@ def _entry(
     s: int,
     t: int,
     interned: dict,
-    partitions: _Partitions | None,
+    traced: bool,
 ) -> _Entry:
     """Split what each row's combination makes of one label.
 
     `outcomes` holds each row's label, in row order; a row connects the
     terminals exactly when its characters at `s` and `t` are equal. A
-    traced stage, which passes its `partitions` cache, records every
-    outcome's partition. A kept row is the row object itself, so an
-    entry adds one reference per kept row and copies none of its parts;
-    the next stage's groups refer to the entry's pair of kept rows and
-    child labels. Every kept label is interned, so equal children of
-    different parent labels are one object.
+    `traced` stage records every outcome's label. A kept row is the row
+    object itself, so an entry adds one reference per kept row and
+    copies none of its parts; the next stage's groups refer to the
+    entry's pair of kept rows and child labels. Every kept label is
+    interned, so equal children of different parent labels are one object.
     """
     recorded, connecting, kept, labels = [], [], [], []
     for row, label in zip(rows, outcomes):
@@ -420,8 +433,8 @@ def _entry(
             label = interned.setdefault(label, label)
             kept.append(row)
             labels.append(label)
-        if partitions is not None:
-            recorded.append(partitions[label])
+        if traced:
+            recorded.append(label)
     pair = (tuple(kept), tuple(labels)) if kept else _NO_KEPT
     return tuple(recorded), tuple(connecting), pair
 
@@ -514,7 +527,7 @@ def initial_stage(
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
             stack[:low] = [label] * low
             if trace is not None:
-                trace(TraceBlock(0, k + 1, k + 1, bits, _NO_COMBOS, (partitions[label],)))
+                trace(TraceBlock(0, k + 1, k + 1, bits, _NO_COMBOS, (label,), partitions))
     _log_stage(0, 1 << m, len(retained), 0, time.perf_counter() - start)
     return EngineState(net, 0, total, comp, retained)
 
@@ -574,8 +587,8 @@ def run_expansion(
     batches.
 
     `trace`, if given, gets one `TraceBlock` per retained vector, in
-    generation order, whose outcomes are each distinct label's
-    `NodePartition`, built once per stage.
+    generation order, with its outcome labels and the stage's one
+    label -> `NodePartition` cache.
     """
     start = time.perf_counter()
     if state.finalized:
@@ -622,7 +635,7 @@ def run_expansion(
             entry = by_projection.get(key) if projected else None
             if entry is None:
                 outcomes = _outcomes(label, new_count, ends, s, t)[final:]
-                entry = _entry(outcomes, rows, final, s, t, interned, partitions)
+                entry = _entry(outcomes, rows, final, s, t, interned, traced)
                 if projected:
                     by_projection[key] = entry
             memo[label] = entry
@@ -652,8 +665,8 @@ def run_expansion(
             for (offset, bits, row_mask, factors), (outcomes, connecting, kept) in zip(*plan):
                 p = prod(factors, start=probability)
                 if traced:
-                    parent, first = base + offset, examined + 1
-                    trace(TraceBlock(stage, parent, first, head + bits, stage_combos, outcomes))
+                    block = (stage, base + offset, examined + 1, head + bits, stage_combos)
+                    trace(TraceBlock(*block, outcomes, partitions))
                 for f in connecting:
                     total, comp = _neumaier_add(total, comp, prod(f, start=p))
                 if kept[1]:

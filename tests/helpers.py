@@ -57,6 +57,18 @@ def cumulative_networks(net: Network, stages) -> list[Network]:
     return nets
 
 
+def renamed_scenario(net, stages, ids):
+    """The scenario with each node v renamed `ids[v]`."""
+    renamed = Network(
+        frozenset(ids[v] for v in net.nodes),
+        tuple((ids[u], ids[v]) for u, v in net.arcs),
+        net.probabilities,
+        ids[net.source],
+        ids[net.sink],
+    )
+    return renamed, [tuple((ids[u], ids[v], p) for u, v, p in specs) for specs in stages]
+
+
 def _probability(rng: random.Random) -> float:
     while (p := rng.random()) == 0.0:
         pass

@@ -5,11 +5,22 @@ import functools
 import json
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from increl import cli, engine
+from increl import (
+    Expansion,
+    cli,
+    connectivity,
+    counting_vectors,
+    engine,
+    extend_partition_detail,
+    partition_nodes,
+)
 from increl.cli import build_run_report, main
 from increl.engine import StageResult
 from helpers import (
@@ -17,8 +28,10 @@ from helpers import (
     FIXTURE_DIR,
     GRID_STAGES,
     VALIDATION_CASES,
+    cumulative_networks,
     grid_3x3,
     random_scenario,
+    renamed_scenario,
 )
 
 BRIDGE = str(FIXTURE_DIR / "bridge.net")
@@ -179,7 +192,7 @@ def test_trace_stage1_row_4(tmp_path, capsys):
 
 
 def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
-    # Renderings made on a cache miss: a partition's set columns, and a node set.
+    # Renderings made on a cache miss: one outcome label's set columns.
     rendered = collections.Counter()
 
     def counted(cache):
@@ -191,8 +204,7 @@ def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cache, "__missing__", render)
 
-    counted(cli._SetColumns)
-    counted(cli._NodeSets)
+    counted(cli._LabelColumns)
     # One directory for both runs: the second run must not see the first's cache.
     trace = cli.TraceDirectory(tmp_path)
     for net, stages in (random_scenario(random.Random(5)), (grid_3x3(), GRID_STAGES)):
@@ -209,16 +221,88 @@ def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
             trace.close()
         stage_ids = range(len(stages) + 1)
         distinct = sum(len({r.partition for r in rows if r.stage == k}) for k in stage_ids)
-        assert rendered[cli._SetColumns] == distinct < len(rows)
-        # A source or sink side is rendered once per stage, however many partitions hold it.
-        sides = sum(
-            len({side for r in rows if r.stage == k for side in r.partition[:2]})
-            for k in stage_ids
-        )
-        assert rendered[cli._NodeSets] == sides < 2 * distinct
+        assert rendered[cli._LabelColumns] == distinct < len(rows)
         for k in stage_ids:
             lines = [cli.TRACE_HEADER] + [cli.format_trace_row(r) for r in rows if r.stage == k]
             assert (tmp_path / f"stage{k}.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def _assert_plain_trace(path, blocks, stage):
+    """`path` holds, byte for byte, the stage's rows as `format_trace_row` renders them."""
+    rows = [row for block in blocks if block.stage == stage for row in block.rows()]
+    # Compared as lists of lines, so a failure reports its first differing row quickly.
+    expected = [cli.TRACE_HEADER, *map(cli.format_trace_row, rows), ""]
+    assert path.read_text().split("\n") == expected
+
+
+# New node ids drawn at random up to 10**12, so new nodes may sort below old ones.
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_trace_directory_matches_the_plain_renderer_under_any_node_ids(seed, data):
+    net, stages = random_scenario(random.Random(seed))
+    nodes = sorted(cumulative_networks(net, stages)[-1].nodes)
+    drawn = data.draw(
+        st.lists(st.integers(1, 10**12), min_size=len(nodes), max_size=len(nodes), unique=True)
+    )
+    net, stages = renamed_scenario(net, stages, dict(zip(nodes, drawn)))
+    blocks = []
+    with tempfile.TemporaryDirectory() as directory:
+        trace = cli.TraceDirectory(Path(directory))
+
+        def collect(block):
+            blocks.append(block)
+            trace(block)
+
+        try:
+            engine.run(net, stages, trace=collect)
+        finally:
+            trace.close()
+        for k in range(len(stages) + 1):
+            _assert_plain_trace(Path(directory) / f"stage{k}.csv", blocks, k)
+
+
+def test_a_run_traced_to_a_directory_builds_no_partition(tmp_path, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a NodePartition was built")
+
+    monkeypatch.setattr(engine, "label_partition", refused)
+    monkeypatch.setattr(connectivity, "label_partition", refused)
+    net = grid_3x3()
+    blocks = []
+    trace = cli.TraceDirectory(tmp_path)
+
+    def collect(block):
+        blocks.append(block)
+        trace(block)
+
+    states, expansions = [engine.initial_stage(net, trace=collect)], []
+    try:
+        for k, specs in enumerate(GRID_STAGES):
+            expansions.append(Expansion.for_network(states[-1].network, specs))
+            final = k == len(GRID_STAGES) - 1
+            states.append(engine.run_expansion(states[-1], expansions[-1], final, trace=collect)[0])
+    finally:
+        trace.close()
+    monkeypatch.undo()
+    for k in range(len(GRID_STAGES) + 1):
+        _assert_plain_trace(tmp_path / f"stage{k}.csv", blocks, k)
+    # The outcomes a caller reads are built on demand, and are the reference's.
+    for block in blocks:
+        if block.stage == 0:
+            assert block.outcomes == (partition_nodes(net, block.head),)
+    for k, expansion in enumerate(expansions):
+        final = k == len(expansions) - 1
+        combos = tuple(counting_vectors(expansion.arc_count))
+        parents = [part for _, part, _, _ in states[k].infeasible.rows()]
+        stage = [block for block in blocks if block.stage == k + 1]
+        assert len(stage) == len(parents)
+        # The first block of each distinct parent partition.
+        first = {}
+        for part, block in zip(parents, stage):
+            first.setdefault(part, block)
+        for part, block in first.items():
+            expected = [extend_partition_detail(part, c, expansion)[1] for c in combos]
+            assert block.outcomes == tuple(expected[final:])
 
 
 def test_oracle_bridge(capsys):

@@ -48,6 +48,7 @@ from helpers import (
     cumulative_networks,
     grid_3x3,
     random_scenario,
+    renamed_scenario,
 )
 
 
@@ -690,18 +691,6 @@ def test_one_arc_steps_give_each_combinations_extension(seed):
         state = kept
 
 
-def _renamed(net, stages, ids):
-    """The scenario with each node v renamed `ids[v]`."""
-    renamed = Network(
-        frozenset(ids[v] for v in net.nodes),
-        tuple((ids[u], ids[v]) for u, v in net.arcs),
-        net.probabilities,
-        ids[net.source],
-        ids[net.sink],
-    )
-    return renamed, [tuple((ids[u], ids[v], p) for u, v, p in specs) for specs in stages]
-
-
 def _staged(net, stages, traced):
     """Each stage's comparable result, trace rows and retained labels' lengths."""
     rows, results = [], []
@@ -734,7 +723,7 @@ def test_traced_and_untraced_runs_agree_under_any_node_ids(seed, data):
         st.lists(st.integers(1, 10**12), min_size=len(nodes), max_size=len(nodes), unique=True)
     )
     ids = dict(zip(nodes, drawn))
-    renamed, renamed_stages = _renamed(net, stages, ids)
+    renamed, renamed_stages = renamed_scenario(net, stages, ids)
     plain, plain_rows = _staged(net, stages, traced=True)
     assert _staged(net, stages, traced=False)[0] == plain
     got, got_rows = _staged(renamed, renamed_stages, traced=True)
@@ -758,7 +747,7 @@ def test_new_node_ids_may_arrive_in_any_order():
         ((50, 10**6, 0.5), (10**6, 4, 0.4), (1, 10**6, 0.3)),
     ]
     in_order = {1: 1, 2: 2, 3: 3, 4: 4, 100: 5, 50: 6, 10**6: 7}
-    renamed, renamed_stages = _renamed(bridge(0.9), stages, in_order)
+    renamed, renamed_stages = renamed_scenario(bridge(0.9), stages, in_order)
     got, _ = _staged(bridge(0.9), stages, traced=True)
     assert got == _staged(renamed, renamed_stages, traced=True)[0]
     assert got == _staged(bridge(0.9), stages, traced=False)[0]
