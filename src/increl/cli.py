@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import increl
+from increl.connectivity import NodePartition
 from increl.engine import StageResult, TraceBlock, TraceRow, full_enumeration_counts, run
 from increl.model import Bits, CapExceededError, ExpansionError, ParseError
 from increl.netfile import parse_expansion_specs, parse_network
@@ -47,6 +48,17 @@ def format_nodes(nodes: Iterable[int]) -> str:
 TRACE_HEADER = "i,j,vector,source_set,middle_set,sink_set,connected"
 
 
+def _format_sets(part: NodePartition) -> str:
+    """The ``source_set,middle_set,sink_set`` columns of a trace row."""
+    return ",".join(
+        (
+            format_nodes(part.source_side),
+            format_nodes(part.middle_union()),
+            format_nodes(part.sink_side),
+        )
+    )
+
+
 # Renders a 0/1 vector in one C-level pass: bytes((0, 1)) -> "01".
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -56,10 +68,10 @@ def _bit_string(bits: Bits) -> str:
 
 
 def format_trace_row(row: TraceRow) -> str:
-    part = row.partition
-    sets = ",".join(map(format_nodes, (part.source_side, part.middle_union(), part.sink_side)))
-    head = f"{row.parent_index},{row.index},{_bit_string(row.bits)}"
-    return f"{head},{sets},{'Y' if row.connected else ''}"
+    return (
+        f"{row.parent_index},{row.index},{_bit_string(row.bits)},"
+        f"{_format_sets(row.partition)},{'Y' if row.connected else ''}"
+    )
 
 
 class _LabelColumns(dict):
@@ -104,6 +116,8 @@ class TraceDirectory:
         self.directory = directory
         directory.mkdir(parents=True, exist_ok=True)
         self._files: dict[int, TextIO] = {}
+        # The columns of the labels of `_partitions`, the last block's label cache.
+        self._partitions: dict | None = None
         self._columns: dict[str, str] = {}
         # Holding the tuple keeps its identity from passing to another one.
         self._combos: tuple[Bits, ...] = ()
@@ -115,6 +129,8 @@ class TraceDirectory:
             handle = (self.directory / f"stage{block.stage}.csv").open("w", encoding="utf-8")
             handle.write(TRACE_HEADER + "\n")
             self._files[block.stage] = handle
+        if block.partitions is not self._partitions:
+            self._partitions = block.partitions
             self._columns = _LabelColumns(block.partitions)
         if block.combos is not self._combos:
             self._combos = block.combos
@@ -128,7 +144,7 @@ class TraceDirectory:
         for handle in self._files.values():
             handle.close()
         self._files.clear()
-        self._columns = {}
+        self._partitions, self._columns = None, {}
         self._combos, self._tails = (), ()
 
 

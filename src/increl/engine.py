@@ -196,10 +196,7 @@ class RetainedSet:
     that, since masks then outgrow a word. Either form takes `append`.
     """
 
-    __slots__ = (
-        "masks", "probabilities", "bases", "kept", "nodes", "source", "sink", "_singles",
-        "_position",
-    )
+    __slots__ = ("masks", "probabilities", "bases", "kept", "nodes", "source", "sink", "_singles")
 
     def __init__(self, arc_count: int, nodes: tuple[int, ...], source: int, sink: int) -> None:
         self.masks: array | list[int] = array("Q") if arc_count <= _WORD_BITS else []
@@ -208,7 +205,6 @@ class RetainedSet:
         self.kept: list[tuple[tuple[_Row, ...], tuple[str, ...]]] = []
         self.nodes, self.source, self.sink = nodes, source, sink
         self._singles: dict[str, tuple] = {}
-        self._position: dict[int, int] | None = None
 
     def __len__(self) -> int:
         return sum([len(labels) for _, labels in self.kept])
@@ -230,9 +226,8 @@ class RetainedSet:
                 f"a partition over terminals {self.source} and {self.sink} must hold "
                 "them on its source and sink sides"
             )
-        if self._position is None:
-            self._position = {v: i for i, v in enumerate(self.nodes)}
-        self._add(mask, partition_label(partition, self._position), index, probability)
+        label = partition_label(partition, {v: i for i, v in enumerate(self.nodes)})
+        self._add(mask, label, index, probability)
 
     def rows(self) -> Iterator[tuple[int, NodePartition, int, float]]:
         """Each vector's mask, partition, generation index and probability, in order."""
@@ -407,7 +402,7 @@ def _outcomes(
 
 
 def _entry(
-    outcomes: Iterable[str],
+    outcomes: Sequence[str],
     rows: Iterable[_Row],
     final: bool,
     s: int,
@@ -419,13 +414,13 @@ def _entry(
 
     `outcomes` holds each row's label, in row order; a row connects the
     terminals exactly when its characters at `s` and `t` are equal. A
-    `traced` stage records every outcome's label. A kept row is the row
-    object itself, so an entry adds one reference per kept row and
-    copies none of its parts; the next stage's groups refer to the
-    entry's pair of kept rows and child labels. Every kept label is
-    interned, so equal children of different parent labels are one object.
+    `traced` stage records them all. A kept row is the row object
+    itself, so an entry adds one reference per kept row and copies none
+    of its parts; the next stage's groups refer to the entry's pair of
+    kept rows and child labels. Every kept label is interned, so equal
+    children of different parent labels are one object.
     """
-    recorded, connecting, kept, labels = [], [], [], []
+    connecting, kept, labels = [], [], []
     for row, label in zip(rows, outcomes):
         if label[s] == label[t]:
             connecting.append(row[3])
@@ -433,10 +428,8 @@ def _entry(
             label = interned.setdefault(label, label)
             kept.append(row)
             labels.append(label)
-        if traced:
-            recorded.append(label)
     pair = (tuple(kept), tuple(labels)) if kept else _NO_KEPT
-    return tuple(recorded), tuple(connecting), pair
+    return tuple(outcomes) if traced else (), tuple(connecting), pair
 
 
 def _log_stage(

@@ -207,11 +207,14 @@ def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
     counted(cli._LabelColumns)
     # One directory for both runs: the second run must not see the first's cache.
     trace = cli.TraceDirectory(tmp_path)
+    runs = []
     for net, stages in (random_scenario(random.Random(5)), (grid_3x3(), GRID_STAGES)):
-        rows = []
+        rows, blocks = [], []
+        runs.append(blocks)
 
         def collect(block):
             rows.extend(block.rows())
+            blocks.append(block)
             trace(block)
 
         rendered.clear()
@@ -225,6 +228,16 @@ def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
         for k in stage_ids:
             lines = [cli.TRACE_HEADER] + [cli.format_trace_row(r) for r in rows if r.stage == k]
             assert (tmp_path / f"stage{k}.csv").read_text() == "\n".join(lines) + "\n"
+    # Without `close()` between them, the second run's stage-0 blocks follow the
+    # first run's later stages into the open files, rendered over their own nodes.
+    trace = cli.TraceDirectory(tmp_path / "both")
+    try:
+        for block in runs[0] + runs[1]:
+            trace(block)
+    finally:
+        trace.close()
+    for k in {block.stage for block in runs[0] + runs[1]}:
+        _assert_plain_trace(tmp_path / "both" / f"stage{k}.csv", runs[0] + runs[1], k)
 
 
 def _assert_plain_trace(path, blocks, stage):
