@@ -14,7 +14,7 @@ expansion.
 ``run --trace DIR`` writes ``stageK.csv`` per stage, one row per
 examined vector. The engine hands the rows over as one `TraceBlock`
 per parent vector, and `TraceDirectory` writes each block at once,
-rendering the set columns from the outcome labels, not partitions.
+rendering the set columns from the outcome labels by `LabelOrder.split`.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import argparse
 import json
 import sys
 from itertools import count
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import increl
-from increl.connectivity import NodePartition
+from increl.connectivity import LabelOrder, NodePartition
 from increl.engine import StageResult, TraceBlock, TraceRow, full_enumeration_counts, run
 from increl.model import Bits, CapExceededError, ExpansionError, ParseError
 from increl.netfile import parse_expansion_specs, parse_network
@@ -77,29 +76,18 @@ def format_trace_row(row: TraceRow) -> str:
 class _LabelColumns(dict):
     """Each outcome label's ``source_set,middle_set,sink_set,connected`` columns.
 
-    One per stage, over the nodes and terminals of `TraceBlock.partitions`.
-    Rendered on first use, in one pass over the label's characters in
-    node-id order, so each set comes out sorted as `format_nodes` gives
-    it: a node shares the source's character, the sink's, or neither.
+    One per stage, rendered on first use: the stage's `LabelOrder` places
+    the nodes' names on the label's sides, sorted as `format_nodes` does.
     """
 
-    def __init__(self, partitions) -> None:
+    def __init__(self, order: LabelOrder) -> None:
         super().__init__()
-        nodes = partitions.nodes
-        self.s, self.t = nodes.index(partitions.source), nodes.index(partitions.sink)
-        order = sorted(range(len(nodes)), key=nodes.__getitem__)
-        # A tuple of characters: a network has at least its two terminals.
-        self.by_id, self.names = itemgetter(*order), [str(nodes[i]) for i in order]
+        self.split, self.names = order.split, [str(v) for v in sorted(order.nodes)]
 
     def __missing__(self, label: str) -> str:
-        source_char, sink_char = label[self.s], label[self.t]
-        source, middle, sink = [], [], []
-        # When the terminals share a character it maps to `source`, and `sink` stays empty.
-        side = {sink_char: sink, source_char: source}.get
-        for char, name in zip(self.by_id(label), self.names):
-            side(char, middle).append(name)
-        sets = "},{".join([" ".join(source), " ".join(middle), " ".join(sink or source)])
-        columns = self[label] = f"{{{sets}}},{'Y' if source_char == sink_char else ''}"
+        source, middle, sink = self.split(label, self.names)
+        sets = "},{".join([" ".join(source), " ".join(middle), " ".join(sink)])
+        columns = self[label] = f"{{{sets}}},{'Y' if sink is source else ''}"
         return columns
 
 
@@ -131,7 +119,7 @@ class TraceDirectory:
             self._files[block.stage] = handle
         if block.partitions is not self._partitions:
             self._partitions = block.partitions
-            self._columns = _LabelColumns(block.partitions)
+            self._columns = _LabelColumns(block.partitions.order)
         if block.combos is not self._combos:
             self._combos = block.combos
             self._tails = tuple(map(_bit_string, block.combos))

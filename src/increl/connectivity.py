@@ -8,16 +8,16 @@ kept and updated when new arcs arrive, so later growth stages never
 search the full graph again.
 
 Every update runs on one form, a label: one `str` with one character
-per node of a fixed node order. Character i is `chr(j)`, where j is
-the smallest position in node i's component, so equal partitions have
-equal labels. Two nodes share a component exactly when their
-characters are equal, and one working arc is one `str.replace`
-(`label_add_arc`), the one union step of the package; a batch's new
-nodes are appended each alone (`label_add_nodes`).
+per node of a `LabelOrder`, the one node order type. Character i is
+`chr(j)`, where j is the smallest position in node i's component, so
+equal partitions have equal labels. Two nodes share a component exactly
+when their characters are equal, and one working arc is one
+`str.replace` (`label_add_arc`), the one union step of the package; a
+batch's new nodes are appended each alone (`label_add_nodes`).
 
 `NodePartition` is the form the public API hands in and out, with its
 middle components stored individually and shared between partitions.
-`partition_label` and `label_partition` convert between the two forms,
+`LabelOrder.label` and `partition` convert between the two forms,
 and `extend_partition` and `extend_partition_detail` take and return
 `NodePartition`s but fold `label_add_arc` inside. `partition_nodes`
 builds a partition by searching the graph, independently of labels.
@@ -25,7 +25,8 @@ builds a partition by searching the graph, independently of labels.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from increl.model import Expansion, ExpansionError, Network
 
@@ -62,6 +63,87 @@ class NodePartition(NamedTuple):
     def middle_union(self) -> frozenset[int]:
         """All middle nodes as one flat set, the display granularity."""
         return frozenset(v for comp in self.middle for v in comp)
+
+
+class LabelOrder:
+    """The node order labels are read over: character i is node `nodes[i]`'s.
+
+    `position` maps a node to its i; `s` and `t` are the terminals'.
+    """
+
+    __slots__ = ("nodes", "source", "sink", "position", "s", "t", "_by_id")
+
+    def __init__(self, nodes: Iterable[int], source: int, sink: int) -> None:
+        self.nodes = nodes = tuple(nodes)
+        self.source, self.sink = source, sink
+        self.position = position = {v: i for i, v in enumerate(nodes)}
+        self.s, self.t = position[source], position[sink]
+        self._by_id = itemgetter(*sorted(range(len(nodes)), key=nodes.__getitem__))
+
+    def grown(self, new_nodes: Iterable[int]) -> LabelOrder:
+        """This order followed by `new_nodes` sorted, as a batch brings them."""
+        return LabelOrder(self.nodes + tuple(sorted(new_nodes)), self.source, self.sink)
+
+    def ends(self, arcs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """Each arc's endpoint positions; one outside the order raises `ExpansionError`."""
+        try:
+            return [(self.position[u], self.position[v]) for u, v in arcs]
+        except KeyError as missing:
+            raise ExpansionError(f"arc endpoint {missing.args[0]} is not a known node") from None
+
+    def label(self, partition: NodePartition) -> str:
+        """The label of `partition`, which must cover exactly this order's nodes.
+
+        `ValueError` if it does not, or if its sides miss the terminals.
+        """
+        if self.source not in partition.source_side or self.sink not in partition.sink_side:
+            raise ValueError(
+                f"a partition over terminals {self.source} and {self.sink} must hold "
+                "them on its source and sink sides"
+            )
+        position = self.position
+        chars = [""] * len(position)
+        for comp in (partition.source_side, partition.sink_side, *partition.middle):
+            try:
+                places = [position[v] for v in comp]
+            except KeyError as missing:
+                raise ValueError(f"node {missing.args[0]} is not in the node order") from None
+            char = chr(min(places))
+            for i in places:
+                chars[i] = char
+        label = "".join(chars)
+        if len(label) != len(chars):
+            raise ValueError("the partition does not cover every node of the order")
+        return label
+
+    def partition(self, label: str, table: dict) -> NodePartition:
+        """The partition `label` holds, each component interned in `table`.
+
+        When the terminals share a component, both sides are that one set.
+        """
+        members: dict[str, list[int]] = {}
+        for char, node in zip(label, self.nodes):
+            members.setdefault(char, []).append(node)
+        comps = {}
+        for char, group in members.items():
+            comp = frozenset(group)
+            comps[char] = table.setdefault(comp, comp)
+        source_side = comps.pop(label[self.s])
+        sink_side = comps.pop(label[self.t], source_side)
+        return NodePartition(source_side, sink_side, tuple(sorted(comps.values(), key=min)))
+
+    def split(self, label: str, items: Sequence) -> tuple[list, list, list]:
+        """`items`, one per node of `sorted(nodes)`, placed in that order on `label`'s sides.
+
+        When the terminals connect, the sink side is the source side, one list.
+        """
+        source_char, sink_char = label[self.s], label[self.t]
+        source, middle, sink = [], [], []
+        # Equal terminal characters map to `source`, and `sink` stays unused.
+        side = {sink_char: sink, source_char: source}.get
+        for char, item in zip(self._by_id(label), items):
+            side(char, middle).append(item)
+        return source, middle, source if source_char == sink_char else sink
 
 
 def _adjacency(net: Network, bits: Sequence[int]) -> dict[int, list[int]]:
@@ -201,29 +283,19 @@ def extend_partition_detail(
         # Connectivity is never lost by adding arcs.
         return True, partition
     comps = (partition.source_side, partition.sink_side, *partition.middle)
-    nodes = sorted(v for comp in comps for v in comp)
-    position = {v: i for i, v in enumerate(nodes)}
-    new = sorted(expansion.new_nodes)
-    label = label_add_nodes(partition_label(partition, position), len(new))
-    position.update((v, i) for i, v in enumerate(new, len(nodes)))
-    nodes += new
     # Any member of a side names its terminal.
     source, sink = next(iter(partition.source_side)), next(iter(partition.sink_side))
-    s, t = position[source], position[sink]
-    for bit, (u, v) in zip(selected, expansion.arcs):
-        if bit:
-            try:
-                ends = position[u], position[v]
-            except KeyError as missing:
-                node = missing.args[0]
-                raise ExpansionError(f"arc endpoint {node} is not a known node") from None
-            label = label_add_arc(label, ends)
-            if label[s] == label[t]:
-                break
+    order = LabelOrder(sorted(v for comp in comps for v in comp), source, sink)
+    label = label_add_nodes(order.label(partition), len(expansion.new_nodes))
+    order = order.grown(expansion.new_nodes)
+    s, t = order.s, order.t
+    for ends in order.ends(arc for bit, arc in zip(selected, expansion.arcs) if bit):
+        label = label_add_arc(label, ends)
+        if label[s] == label[t]:
+            break
     # Seeding the table with the parent's components keeps every one no
     # arc touched as the parent's own object.
-    part = label_partition(label, nodes, source, sink, {comp: comp for comp in comps})
-    return label[s] == label[t], part
+    return label[s] == label[t], order.partition(label, {comp: comp for comp in comps})
 
 
 def label_add_arc(label: str, ends: tuple[int, int]) -> str:
@@ -243,51 +315,6 @@ def label_add_nodes(label: str, count: int) -> str:
     """The label with `count` new nodes appended to the order, each alone."""
     n = len(label)
     return label + "".join(map(chr, range(n, n + count)))
-
-
-def partition_label(partition: NodePartition, position: Mapping[int, int]) -> str:
-    """The label of `partition` over the node order that `position` numbers.
-
-    `position` maps each node to its 0-based place in the order, and
-    the partition must cover exactly those nodes: a node outside the
-    order, or a node of the order left out, raises `ValueError`.
-    """
-    chars = [""] * len(position)
-    for comp in (partition.source_side, partition.sink_side, *partition.middle):
-        try:
-            places = [position[v] for v in comp]
-        except KeyError as missing:
-            raise ValueError(f"node {missing.args[0]} is not in the node order") from None
-        char = chr(min(places))
-        for i in places:
-            chars[i] = char
-    label = "".join(chars)
-    if len(label) != len(chars):
-        raise ValueError("the partition does not cover every node of the order")
-    return label
-
-
-def label_partition(
-    label: str, nodes: Sequence[int], source: int, sink: int, table: dict | None = None
-) -> NodePartition:
-    """The partition that `label` holds over the node order `nodes`.
-
-    Each component is interned in `table`, if given, so that equal
-    components of the partitions built with one table are one object.
-    When the terminals share a component, both sides are that one set.
-    """
-    members: dict[str, list[int]] = {}
-    for char, node in zip(label, nodes):
-        members.setdefault(char, []).append(node)
-    if table is None:
-        table = {}
-    comps = {}
-    for char, group in members.items():
-        comp = frozenset(group)
-        comps[char] = table.setdefault(comp, comp)
-    source_side = comps.pop(label[nodes.index(source)])
-    sink_side = comps.pop(label[nodes.index(sink)], source_side)
-    return NodePartition(source_side, sink_side, tuple(sorted(comps.values(), key=min)))
 
 
 def project_label(label: str, positions: Iterable[int]) -> str:

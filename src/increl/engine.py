@@ -12,9 +12,9 @@ disconnected graph gains nothing from zero new arcs.
 
 Inside the engine a partition is a label (`connectivity`): one
 character per node, the smallest position in the node's component.
-Nodes take positions in arrival order: the network's nodes sorted,
-then each batch's new nodes sorted. A label is canonical, so equal
-partitions are equal strings; the terminals connect exactly when
+Nodes take positions in arrival order, a `LabelOrder`: the network's
+nodes sorted, then each batch's new nodes sorted. A label is canonical,
+so equal partitions are equal strings; the terminals connect exactly when
 their two characters are equal; one working arc is one
 `label_add_arc` step, a `str.replace`; and a batch's base, the parent
 plus its new nodes, is the parent label with one character appended
@@ -95,14 +95,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 # this module's connectivity names counts them, so they stay importable
 # from it.
 from increl.connectivity import (  # noqa: F401
+    LabelOrder,
     NodePartition,
     extend_partition,
     extend_partition_detail,
     is_connected,
     label_add_arc,
     label_add_nodes,
-    label_partition,
-    partition_label,
     partition_nodes,
     project_label,
 )
@@ -145,22 +144,18 @@ _IDENTITY_ROW: _Row = (0, (), 0, ())
 
 
 class _Partitions(dict):
-    """Each label's `NodePartition`, built on first use and looked up after that.
+    """Each label's `NodePartition` over `order`, built on first use and looked up after.
 
-    The labels are over the node order `nodes`, with terminals `source`
-    and `sink`. The components of the partitions one cache builds are
-    interned in one table, so equal components are one object.
+    The components of the partitions one cache builds are interned in
+    one table, so equal components are one object.
     """
 
-    def __init__(self, nodes: Sequence[int], source: int, sink: int) -> None:
+    def __init__(self, order: LabelOrder) -> None:
         super().__init__()
-        self.nodes, self.source, self.sink = nodes, source, sink
-        self.components: dict = {}
+        self.order, self.components = order, {}
 
     def __missing__(self, label: str) -> NodePartition:
-        part = self[label] = label_partition(
-            label, self.nodes, self.source, self.sink, self.components
-        )
+        part = self[label] = self.order.partition(label, self.components)
         return part
 
 
@@ -178,7 +173,7 @@ class RetainedSet:
     entry that extended it, shared by every group the entry made.
     Vector r of the group has mask `mask | rows[r][2]`, bit j for arc
     j+1 (`mask_bits` decodes one), the interned label `labels[r]` of its
-    partition over the node order `nodes`, 1-based generation index
+    partition over the set's `LabelOrder` `order`, 1-based generation index
     `base + rows[r][0]`, which traces name as a parent, and probability
     `prod(rows[r][3], start=probability)`, its `vector_probability` to
     the last bit. `rows()` spells the vectors out in generation order,
@@ -187,23 +182,22 @@ class RetainedSet:
 
     `append` adds one vector, with its `NodePartition`, as a group of
     its own, whose one row is `_IDENTITY_ROW`; such groups share one
-    pair per label. The partition must cover exactly `nodes`, with
-    `source` in its source side and `sink` in its sink side, or
-    `append` raises `ValueError`; `rows()` then gives back the partition
+    pair per label. It raises `ValueError` for a partition that
+    `LabelOrder.label` refuses, so `rows()` gives back the partition
     the engine computes on. Stage 0 keeps its vectors as such groups.
     `masks` is an `array('Q')` of machine words while
     `arc_count`, the network's, is at most 64, and a list of ints past
     that, since masks then outgrow a word. Either form takes `append`.
     """
 
-    __slots__ = ("masks", "probabilities", "bases", "kept", "nodes", "source", "sink", "_singles")
+    __slots__ = ("masks", "probabilities", "bases", "kept", "order", "_singles")
 
-    def __init__(self, arc_count: int, nodes: tuple[int, ...], source: int, sink: int) -> None:
+    def __init__(self, arc_count: int, order: LabelOrder) -> None:
         self.masks: array | list[int] = array("Q") if arc_count <= _WORD_BITS else []
         self.probabilities = array("d")
         self.bases = array("q")
         self.kept: list[tuple[tuple[_Row, ...], tuple[str, ...]]] = []
-        self.nodes, self.source, self.sink = nodes, source, sink
+        self.order = order
         self._singles: dict[str, tuple] = {}
 
     def __len__(self) -> int:
@@ -221,17 +215,11 @@ class RetainedSet:
 
     def append(self, mask: int, partition: NodePartition, index: int, probability: float) -> None:
         """Add one vector as a group of one row."""
-        if self.source not in partition.source_side or self.sink not in partition.sink_side:
-            raise ValueError(
-                f"a partition over terminals {self.source} and {self.sink} must hold "
-                "them on its source and sink sides"
-            )
-        label = partition_label(partition, {v: i for i, v in enumerate(self.nodes)})
-        self._add(mask, label, index, probability)
+        self._add(mask, self.order.label(partition), index, probability)
 
     def rows(self) -> Iterator[tuple[int, NodePartition, int, float]]:
         """Each vector's mask, partition, generation index and probability, in order."""
-        partitions = _Partitions(self.nodes, self.source, self.sink)
+        partitions = _Partitions(self.order)
         for mask, probability, base, (rows, labels) in zip(
             self.masks, self.probabilities, self.bases, self.kept
         ):
@@ -495,15 +483,13 @@ def initial_stage(
     if m > max_arcs:
         raise CapExceededError(f"network has {m} arcs, enumeration capped at {max_arcs}")
     total = comp = 0.0
-    nodes = tuple(sorted(net.nodes))
-    position = {v: i for i, v in enumerate(nodes)}
-    ends = [(position[u], position[v]) for u, v in net.arcs]
-    s, t = position[net.source], position[net.sink]
-    retained = RetainedSet(m, nodes, net.source, net.sink)
+    order = LabelOrder(sorted(net.nodes), net.source, net.sink)
+    ends, s, t = order.ends(net.arcs), order.s, order.t
+    retained = RetainedSet(m, order)
     # Each stage-0 vector is a group of its own.
     add, groups = retained._add, retained.masks
-    partitions = _Partitions(nodes, net.source, net.sink)
-    label = label_add_nodes("", len(nodes))
+    partitions = _Partitions(order)
+    label = label_add_nodes("", len(order.nodes))
     stack = [label] * (m + 1)
     with _gc_paused():
         for k, bits in enumerate(counting_vectors(m)):
@@ -594,21 +580,19 @@ def run_expansion(
     combos = (1 << expansion.arc_count) - final
 
     parents = state.infeasible
-    nodes = parents.nodes + tuple(sorted(expansion.new_nodes))
-    position = {v: i for i, v in enumerate(nodes)}
-    ends = [(position[u], position[v]) for u, v in expansion.arcs]
-    s, t = position[net.source], position[net.sink]
+    order = parents.order.grown(expansion.new_nodes)
+    ends, s, t = order.ends(expansion.arcs), order.s, order.t
     new_count = len(expansion.new_nodes)
 
     total, comp = state.reliability_sum, state.reliability_comp
-    retained = RetainedSet(new_net.arc_count, nodes, net.source, net.sink)
+    retained = RetainedSet(new_net.arc_count, order)
     masks, probabilities = retained.masks, retained.probabilities
     bases, groups = retained.bases, retained.kept
     traced = trace is not None
     projected = final and not traced
     # The positions that decide an untraced final stage: the terminals
     # and the batch's endpoints the parent labels cover.
-    keep = sorted(i for i in {s, t}.union(*ends) if i < len(parents.nodes))
+    keep = sorted(i for i in {s, t}.union(*ends) if i < len(parents.order.nodes))
     rows = tuple(_rows(expansion, shift, final))
     stage_combos = tuple(row[1] for row in rows)
     memo: dict[str, _Entry] = {}
@@ -618,7 +602,7 @@ def run_expansion(
     # parent set keeps alive.
     plans: dict[int, tuple] = {}
     interned: dict[str, str] = {}
-    partitions = _Partitions(nodes, net.source, net.sink) if traced else None
+    partitions = _Partitions(order) if traced else None
 
     def entry_of(label: str) -> _Entry:
         """What the stage's rows make of a vector's label."""

@@ -278,8 +278,8 @@ def test_a_run_traced_to_a_directory_builds_no_partition(tmp_path, monkeypatch):
     def refused(*args):
         raise AssertionError("a NodePartition was built")
 
-    monkeypatch.setattr(engine, "label_partition", refused)
-    monkeypatch.setattr(connectivity, "label_partition", refused)
+    # The one place a NodePartition is built from a label.
+    monkeypatch.setattr(connectivity.LabelOrder, "partition", refused)
     net = grid_3x3()
     blocks = []
     trace = cli.TraceDirectory(tmp_path)

@@ -25,13 +25,7 @@ from increl import (
     project_partition,
     run_expansion,
 )
-from increl.connectivity import (
-    label_add_arc,
-    label_add_nodes,
-    label_partition,
-    partition_label,
-    project_label,
-)
+from increl.connectivity import LabelOrder, label_add_arc, label_add_nodes, project_label
 from helpers import bridge, cumulative_networks, random_scenario
 
 
@@ -206,30 +200,32 @@ def test_label_add_nodes_appends_each_new_node_alone():
 def test_labels_and_partitions_convert_both_ways():
     # Arrival order: the network's nodes sorted, then a batch's new nodes sorted.
     nodes = (1, 2, 3, 4, 50, 100)
-    position = {v: i for i, v in enumerate(nodes)}
+    order = LabelOrder(nodes, 1, 4)
+    assert order.position == {v: i for i, v in enumerate(nodes)}
+    assert (order.s, order.t) == (0, 3)
     part = NodePartition(
         frozenset({1, 100}), frozenset({4}), (frozenset({2, 3}), frozenset({50}))
     )
-    label = partition_label(part, position)
+    label = order.label(part)
     assert label == "\x00\x01\x01\x03\x04\x00"
-    assert label_partition(label, nodes, 1, 4) == part
-    merged = label_partition(label_add_arc(label, (3, 5)), nodes, 1, 4)
+    assert order.partition(label, {}) == part
+    merged = order.partition(label_add_arc(label, (3, 5)), {})
     assert merged.source_side is merged.sink_side == frozenset({1, 4, 100})
     assert merged.middle == part.middle
     # One table interns the components of every partition built with it.
     table = {}
-    first = label_partition(label, nodes, 1, 4, table)
-    second = label_partition(label_add_arc(label, (2, 3)), nodes, 1, 4, table)
+    first = order.partition(label, table)
+    second = order.partition(label_add_arc(label, (2, 3)), table)
     assert second.source_side is first.source_side
     assert second.middle[0] is first.middle[1]
     with pytest.raises(ValueError, match="cover"):
-        partition_label(part, {**position, 7: 6})
+        LabelOrder((*nodes, 7), 1, 4).label(part)
 
 
 def test_partition_label_names_a_node_outside_the_order():
     part = NodePartition(frozenset({1}), frozenset({3}), (frozenset({7}),))
     with pytest.raises(ValueError, match="node 7 is not in the node order"):
-        partition_label(part, {1: 0, 2: 1, 3: 2})
+        LabelOrder((1, 2, 3), 1, 3).label(part)
 
 
 # A network drawn with every batch's arcs, and a node order drawn with it.
@@ -241,19 +237,46 @@ def test_a_label_folded_from_a_vectors_arcs_is_its_partition(seed, data):
     nodes = tuple(data.draw(st.permutations(sorted(net.nodes))))
     m = net.arc_count
     bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
-    position = {v: i for i, v in enumerate(nodes)}
+    order = LabelOrder(nodes, net.source, net.sink)
     label = label_add_nodes("", len(nodes))
-    for bit, (u, v) in zip(bits, net.arcs):
+    for bit, ends in zip(bits, order.ends(net.arcs)):
         if bit:
-            label = label_add_arc(label, (position[u], position[v]))
+            label = label_add_arc(label, ends)
     part = partition_nodes(net, bits)
     assert len(label) == net.node_count
-    assert label_partition(label, nodes, net.source, net.sink) == part
-    assert partition_label(part, position) == label
-    back = label_partition(partition_label(part, position), nodes, net.source, net.sink)
+    assert order.partition(label, {}) == part
+    assert order.label(part) == label
+    back = order.partition(order.label(part), {})
     assert back == part
-    connected = label[position[net.source]] == label[position[net.sink]]
+    connected = label[order.s] == label[order.t]
     assert connected == is_connected(part) == (back.source_side is back.sink_side)
+
+
+# Node ids up to 10**12 arriving in batches, each sorted, so a batch's
+# new nodes may sort below the ones before it, and random arcs over them.
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.integers(1, 10**12), min_size=2, max_size=14, unique=True), st.data())
+def test_split_places_the_sorted_sides_of_the_labels_partition(ids, data):
+    first = data.draw(st.integers(2, len(ids)))
+    order, rest = LabelOrder(sorted(ids[:first]), ids[0], ids[1]), ids[first:]
+    while rest:
+        k = data.draw(st.integers(1, len(rest)))
+        order, rest = order.grown(rest[:k]), rest[k:]
+    n = len(order.nodes)
+    position = st.integers(0, n - 1)
+    label = label_add_nodes("", n)
+    for ends in data.draw(st.lists(st.tuples(position, position), max_size=2 * n)):
+        label = label_add_arc(label, ends)
+    part = order.partition(label, {})
+    source, middle, sink = order.split(label, sorted(order.nodes))
+    assert source == sorted(part.source_side)
+    assert middle == sorted(part.middle_union())
+    assert sink == sorted(part.sink_side)
+    # When the terminals connect, the sink side is the source side itself.
+    assert (sink is source) == (part.source_side is part.sink_side)
+    # The caller's items are placed as they are, here names.
+    names = order.split(label, [f"n{v}" for v in sorted(order.nodes)])
+    assert names == tuple([f"n{v}" for v in side] for side in (source, middle, sink))
 
 
 def test_partition_and_layers_reject_a_vector_of_the_wrong_length():
@@ -443,11 +466,11 @@ def test_label_projection_onto_batch_endpoints_decides_connectivity(seed):
         state, _ = run_expansion(state, Expansion.for_network(state.network, specs), final=False)
     expansion = Expansion.for_network(state.network, stages[-1])
     keep = frozenset({net.source, net.sink}).union(*expansion.arcs)
-    position = {v: i for i, v in enumerate(state.infeasible.nodes)}
-    positions = sorted(position[v] for v in keep if v in position)
+    order = state.infeasible.order
+    positions = sorted(order.position[v] for v in keep if v in order.position)
     by_key = {}
     for part in {part for _, part, _, _ in state.infeasible.rows()}:
-        key = project_label(partition_label(part, position), positions)
+        key = project_label(order.label(part), positions)
         by_key.setdefault(key, set()).add(part)
     # Two labels share a key exactly when their partitions share a projection.
     projections = [{project_partition(p, keep) for p in parts} for parts in by_key.values()]

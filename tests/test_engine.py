@@ -40,7 +40,7 @@ from increl import (
     vector_probability,
 )
 from increl import connectivity
-from increl.connectivity import label_add_arc, label_add_nodes, partition_label
+from increl.connectivity import LabelOrder, label_add_arc, label_add_nodes
 from helpers import (
     GRID_STAGES,
     bridge,
@@ -236,7 +236,7 @@ def test_empty_retained_set_is_a_no_op():
         stage_index=state.stage_index,
         reliability_sum=state.reliability_sum,
         reliability_comp=state.reliability_comp,
-        infeasible=RetainedSet(net.arc_count, state.infeasible.nodes, net.source, net.sink),
+        infeasible=RetainedSet(net.arc_count, state.infeasible.order),
     )
     expansion = Expansion.for_network(empty.network, bridge_stages()[0])
     updated, result = run_expansion(empty, expansion, final=False)
@@ -432,7 +432,7 @@ def _retained(state):
 def _sliced(state, piece):
     """A retained set holding a slice of the state's vectors, each a group of its own."""
     net, retained = state.network, state.infeasible
-    part = RetainedSet(net.arc_count, retained.nodes, net.source, net.sink)
+    part = RetainedSet(net.arc_count, retained.order)
     for row in list(retained.rows())[piece]:
         part.append(*row)
     return part
@@ -508,14 +508,14 @@ def _long_ladder(arc_count):
 @pytest.mark.parametrize("arc_count", [63, 65])
 def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
     net = _long_ladder(arc_count)
-    nodes = tuple(sorted(net.nodes))
-    assert isinstance(RetainedSet(64, nodes, net.source, net.sink).masks, array)
-    assert RetainedSet(64, nodes, net.source, net.sink).masks.typecode == "Q"
-    assert type(RetainedSet(65, nodes, net.source, net.sink).masks) is list
+    order = LabelOrder(sorted(net.nodes), net.source, net.sink)
+    assert isinstance(RetainedSet(64, order).masks, array)
+    assert RetainedSet(64, order).masks.typecode == "Q"
+    assert type(RetainedSet(65, order).masks) is list
     rng = random.Random(arc_count)
     # A few vectors with the source's two arcs failed, so none joins the
     # terminals, and the last arc working.
-    parents = RetainedSet(arc_count, nodes, net.source, net.sink)
+    parents = RetainedSet(arc_count, order)
     for index in range(1, 6):
         bits = (0, 0, *(int(rng.random() < 0.7) for _ in range(arc_count - 3)), 1)
         part = partition_nodes(net, bits)
@@ -537,7 +537,7 @@ def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
 
 
 def test_append_refuses_a_partition_that_the_set_would_read_otherwise():
-    retained = RetainedSet(3, (1, 2, 3), 1, 3)
+    retained = RetainedSet(3, LabelOrder((1, 2, 3), 1, 3))
     # The label of {2} | {3} | {1} over this order reads {1} as the source side.
     swapped = NodePartition(frozenset({2}), frozenset({3}), (frozenset({1}),))
     with pytest.raises(ValueError, match="terminals 1 and 3"):
@@ -572,9 +572,9 @@ def test_groups_of_equal_partitions_keep_their_own_rows(final):
     part = partition_nodes(net, (0, 0, 1, 1, 1))
     assert part == partition_nodes(net, (0, 0, 1, 1, 0)) and not is_connected(part)
     p = net.probabilities[0]
-    nodes = tuple(sorted(net.nodes))
-    parents = RetainedSet(net.arc_count, nodes, net.source, net.sink)
-    label = partition_label(part, {v: i for i, v in enumerate(nodes)})
+    order = LabelOrder(sorted(net.nodes), net.source, net.sink)
+    parents = RetainedSet(net.arc_count, order)
+    label = order.label(part)
     for offset, bit in ((1, 0), (2, 1)):
         parents.masks.append(0b1100)
         parents.probabilities.append(math.prod((1.0 - p, 1.0 - p, p, p)))
@@ -702,7 +702,7 @@ def _staged(net, stages, traced):
             state, result = run_expansion(state, expansion, k == len(stages), trace=trace)
             results.append(_comparable(result))
         n = state.network.node_count
-        assert len(state.infeasible.nodes) == n
+        assert len(state.infeasible.order.nodes) == n
         assert {len(label) for _, labels in state.infeasible.kept for label in labels} <= {n}
     results.append(state.reliability.hex())
     return results, rows
@@ -823,9 +823,13 @@ def _rows_held(grown):
     """The bytes of the combinations' rows that a stage leaves allocated."""
     gc.collect()  # also empties the tuple free lists, which tracemalloc counts
     snapshot = tracemalloc.take_snapshot()
-    lines, first = inspect.getsourcelines(engine._rows)
+    # The loaded code's lines, not the file's: an edit on disk would shift them.
+    linenos = [line for _, _, line in engine._rows.__code__.co_lines() if line is not None]
     made_by_rows = snapshot.filter_traces(
-        [tracemalloc.Filter(True, engine.__file__, lineno) for lineno in range(first, first + len(lines))]
+        [
+            tracemalloc.Filter(True, engine.__file__, lineno)
+            for lineno in range(min(linenos), max(linenos) + 1)
+        ]
     )
     return sum(trace.size for trace in made_by_rows.traces)
 
