@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import increl
-from increl.connectivity import LabelOrder, NodePartition
+from increl.connectivity import LabelOrder, NodePartition, PartitionCache
 from increl.engine import StageResult, TraceBlock, TraceRow, full_enumeration_counts, run
 from increl.model import Bits, CapExceededError, ExpansionError, ParseError
 from increl.netfile import parse_expansion_specs, parse_network
@@ -105,7 +105,7 @@ class TraceDirectory:
         directory.mkdir(parents=True, exist_ok=True)
         self._files: dict[int, TextIO] = {}
         # The columns of the labels of `_partitions`, the last block's label cache.
-        self._partitions: dict | None = None
+        self._partitions: PartitionCache | None = None
         self._columns: dict[str, str] = {}
         # Holding the tuple keeps its identity from passing to another one.
         self._combos: tuple[Bits, ...] = ()

@@ -18,7 +18,8 @@ batch's new nodes are appended each alone (`label_add_nodes`).
 `NodePartition` is the form the public API hands in and out, with its
 middle components stored individually and shared between partitions.
 `LabelOrder.label` and `partition` convert between the two forms,
-and `extend_partition` and `extend_partition_detail` take and return
+`PartitionCache` builds each distinct label's partition once, and
+`extend_partition` and `extend_partition_detail` take and return
 `NodePartition`s but fold `label_add_arc` inside. `partition_nodes`
 builds a partition by searching the graph, independently of labels.
 """
@@ -144,6 +145,26 @@ class LabelOrder:
         for char, item in zip(self._by_id(label), items):
             side(char, middle).append(item)
         return source, middle, source if source_char == sink_char else sink
+
+
+class PartitionCache(dict):
+    """Each label's `NodePartition` over `order`, built on first use and looked up after.
+
+    A `dict` from label to partition whose `__missing__` calls
+    `order.partition`. The components of the partitions one cache
+    builds are interned in its one table, `components`, so equal
+    components are one object. A cache lives as long as its owner: one
+    `RetainedSet.rows()` call, or one traced stage's blocks.
+    """
+
+    def __init__(self, order: LabelOrder) -> None:
+        super().__init__()
+        self.order = order
+        self.components: dict[frozenset[int], frozenset[int]] = {}
+
+    def __missing__(self, label: str) -> NodePartition:
+        part = self[label] = self.order.partition(label, self.components)
+        return part
 
 
 def _adjacency(net: Network, bits: Sequence[int]) -> dict[int, list[int]]:

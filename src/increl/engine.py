@@ -26,7 +26,10 @@ and by a traced `TraceBlock`'s `outcomes` or `rows()` when read.
 Stage 0 walks the binary-addition tree: each vector's working arcs
 from its lowest one up are those of a vector already met plus that one
 arc, so its label is one `label_add_arc` step from one the walk holds,
-and no vector searches the graph.
+and no vector searches the graph. Its vectors come from
+`itertools.product` (`counting_vectors`) and each probability is one
+C-level `prod` over the arcs' factors, from arc 1 up as
+`vector_probability` multiplies, so no Python-level step runs per arc.
 
 A vector is its parent plus the states of the stage's new arcs, and
 the retained set is stored that way: a `RetainedSet` holds groups, one
@@ -66,14 +69,19 @@ the terminals and the batch's endpoints: the label's characters there,
 renumbered by first occurrence (`project_label`). Its memo entry is
 those combinations, computed once per distinct projection, and it
 visits only the retained vectors that some combination connects, and
-of each only those combinations.
+of each only those combinations. Labels with equal characters there
+project equally, so a dict keyed on those raw characters stands in
+front of `project_label`: growth-grid's final stage projects 416 of its
+14,520 distinct labels, and steps from 36 projections.
 
 A trace callback gets one `TraceBlock` per parent vector: the entry's
 outcome labels, and the stage's shared combinations and label cache,
 so tracing adds no object per examined vector.
 
-Reliability is accumulated with compensated summation in a fixed
-order, so identical inputs produce bit-identical results. The cyclic
+Reliability is accumulated with compensated (Neumaier) summation in a
+fixed order, so identical inputs produce bit-identical results. The
+growth stages write the add out in their loop rather than calling
+`_neumaier_add` once per connecting product. The cyclic
 garbage collector is paused inside the stage loops: they allocate
 millions of small objects and form no cycles. The `increl` logger
 gets one debug line per stage.
@@ -87,7 +95,7 @@ import time
 from array import array
 from contextlib import contextmanager
 from math import prod
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # extend_partition, extend_partition_detail, is_connected and
@@ -97,6 +105,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from increl.connectivity import (  # noqa: F401
     LabelOrder,
     NodePartition,
+    PartitionCache,
     extend_partition,
     extend_partition_detail,
     is_connected,
@@ -115,14 +124,17 @@ from increl.model import (
     Network,
     extend_network,
     mask_bits,
-    vector_probability,
 )
+# Nor is vector_probability: stage 0 multiplies each vector's factors
+# itself, in the same order. It stays for the same instrumentation.
+from increl.model import vector_probability  # noqa: F401
 
 DEFAULT_MAX_ARCS = 30
-# About 1.1 GB at the 67 B of resident memory a retained vector was
-# measured to cost on a 4x4 grid grown one node per batch (195 MB for
-# 3.03M vectors), so the cap trips before an 8 GB machine runs out of
-# memory.
+# About 1.0 GB at the 59 B of resident memory a retained vector was
+# measured to cost on a 4x4 grid grown one node per batch: peak RSS
+# 186.7 MiB at 3,033,403 retained vectors, 14.7 MiB of it the
+# interpreter with the package imported (2 vCPU Xeon, Python 3.11.7).
+# So the cap trips before an 8 GB machine runs out of memory.
 DEFAULT_MAX_RETAINED = 1 << 24
 # A stage builds one row per combination of its batch and memoises each
 # label's outcome of every combination, so a batch may add at most
@@ -141,22 +153,6 @@ _Row = tuple[int, Bits, int, tuple[float, ...]]
 # The row of a group that holds one whole vector: no position, bits,
 # mask or factors to add to the group's own.
 _IDENTITY_ROW: _Row = (0, (), 0, ())
-
-
-class _Partitions(dict):
-    """Each label's `NodePartition` over `order`, built on first use and looked up after.
-
-    The components of the partitions one cache builds are interned in
-    one table, so equal components are one object.
-    """
-
-    def __init__(self, order: LabelOrder) -> None:
-        super().__init__()
-        self.order, self.components = order, {}
-
-    def __missing__(self, label: str) -> NodePartition:
-        part = self[label] = self.order.partition(label, self.components)
-        return part
 
 
 # The pair of an entry that keeps no row: every entry of a final stage.
@@ -219,7 +215,7 @@ class RetainedSet:
 
     def rows(self) -> Iterator[tuple[int, NodePartition, int, float]]:
         """Each vector's mask, partition, generation index and probability, in order."""
-        partitions = _Partitions(self.order)
+        partitions = PartitionCache(self.order)
         for mask, probability, base, (rows, labels) in zip(
             self.masks, self.probabilities, self.bases, self.kept
         ):
@@ -307,7 +303,7 @@ class TraceBlock(NamedTuple):
     head: Bits
     combos: tuple[Bits, ...]
     labels: tuple[str, ...]
-    partitions: _Partitions
+    partitions: PartitionCache
 
     @property
     def outcomes(self) -> tuple[NodePartition, ...]:
@@ -459,7 +455,9 @@ def initial_stage(
     """Full enumeration of the original network, one `label_add_arc` step per vector.
 
     Visits all 2**m vectors in counting order, as `counting_vectors`
-    yields them; feasible vectors contribute their probability and are
+    yields them. A vector's probability is `prod` over each arc's
+    factor, 1 - p or p, from arc 1 up: `vector_probability`'s float to
+    the last bit. Feasible vectors contribute their probability and are
     dropped, infeasible ones are retained with their labels and
     probabilities, each as a group of its own. The labels are over the
     network's nodes sorted. The resulting reliability is exact for the
@@ -485,10 +483,12 @@ def initial_stage(
     total = comp = 0.0
     order = LabelOrder(sorted(net.nodes), net.source, net.sink)
     ends, s, t = order.ends(net.arcs), order.s, order.t
+    # Each arc's factor for a failed and a working state, as `_rows` builds them.
+    choices = tuple((1.0 - p, p) for p in net.probabilities)
     retained = RetainedSet(m, order)
     # Each stage-0 vector is a group of its own.
     add, groups = retained._add, retained.masks
-    partitions = _Partitions(order)
+    partitions = PartitionCache(order)
     label = label_add_nodes("", len(order.nodes))
     stack = [label] * (m + 1)
     with _gc_paused():
@@ -497,7 +497,7 @@ def initial_stage(
             low = (k & -k).bit_length()
             if low:
                 label = label_add_arc(stack[low], ends[low - 1])
-            x = vector_probability(bits, net)
+            x = prod(map(getitem, choices, bits))
             if label[s] == label[t]:
                 total, comp = _neumaier_add(total, comp, x)
             else:
@@ -554,9 +554,10 @@ def run_expansion(
     vectors examined before its own, and the entry's pair. On an
     untraced final stage the entry depends only on the label projected
     onto the batch's endpoints and the terminals (`project_label`), so
-    it is computed once per distinct projection; the plan holds only
-    the vectors that some combination connects, and each visits only
-    those combinations. Each combination's row (position, bits, shifted
+    it is computed once per distinct projection, and the projection
+    once per distinct tuple of the label's characters there; the plan
+    holds only the vectors that some combination connects, and each
+    visits only those combinations. Each combination's row (position, bits, shifted
     mask and probability factors) is built once for the stage and
     lives as long as the groups that refer to it. The label steps go
     through this module's globals so instrumentation can rebind them.
@@ -593,29 +594,43 @@ def run_expansion(
     # The positions that decide an untraced final stage: the terminals
     # and the batch's endpoints the parent labels cover.
     keep = sorted(i for i in {s, t}.union(*ends) if i < len(parents.order.nodes))
+    # A label's characters at `keep`, a tuple: `keep` holds both terminals.
+    at_keep = itemgetter(*keep)
     rows = tuple(_rows(expansion, shift, final))
     stage_combos = tuple(row[1] for row in rows)
     memo: dict[str, _Entry] = {}
+    # Equal characters at `keep` project equally, so `project_label` runs
+    # once per distinct tuple of characters, and `new_entry` once per
+    # projection.
+    by_characters: dict[tuple[str, ...], _Entry] = {}
     by_projection: dict[str, _Entry] = {}
     # Each parent group's rows and the entries of their children, in two
     # parallel sequences, by the identity of the group's pair, which the
     # parent set keeps alive.
     plans: dict[int, tuple] = {}
     interned: dict[str, str] = {}
-    partitions = _Partitions(order) if traced else None
+    partitions = PartitionCache(order) if traced else None
+
+    def new_entry(label: str) -> _Entry:
+        outcomes = _outcomes(label, new_count, ends, s, t)[final:]
+        return _entry(outcomes, rows, final, s, t, interned, traced)
+
+    def projected_entry(label: str) -> _Entry:
+        characters = at_keep(label)
+        entry = by_characters.get(characters)
+        if entry is None:
+            key = project_label(label, keep)
+            entry = by_projection.get(key)
+            if entry is None:
+                entry = by_projection[key] = new_entry(label)
+            by_characters[characters] = entry
+        return entry
 
     def entry_of(label: str) -> _Entry:
         """What the stage's rows make of a vector's label."""
         entry = memo.get(label)
         if entry is None:
-            key = project_label(label, keep) if projected else label
-            entry = by_projection.get(key) if projected else None
-            if entry is None:
-                outcomes = _outcomes(label, new_count, ends, s, t)[final:]
-                entry = _entry(outcomes, rows, final, s, t, interned, traced)
-                if projected:
-                    by_projection[key] = entry
-            memo[label] = entry
+            entry = memo[label] = projected_entry(label) if projected else new_entry(label)
         return entry
 
     count = 0
@@ -644,8 +659,16 @@ def run_expansion(
                 if traced:
                     block = (stage, base + offset, examined + 1, head + bits, stage_combos)
                     trace(TraceBlock(*block, outcomes, partitions))
+                # `_neumaier_add`, written out: every addend and the running
+                # sum are non-negative, so comparing them needs no `abs`.
                 for f in connecting:
-                    total, comp = _neumaier_add(total, comp, prod(f, start=p))
+                    x = prod(f, start=p)
+                    added = total + x
+                    if total >= x:
+                        comp += (total - added) + x
+                    else:
+                        comp += (x - added) + total
+                    total = added
                 if kept[1]:
                     masks.append(mask | row_mask)
                     probabilities.append(p)

@@ -4,11 +4,16 @@ The successor rule flips the lowest zero coordinate to one and clears
 every coordinate below it, which is plain binary increment with
 coordinate 1 as the least significant bit. Starting from the all-zero
 vector this visits all 2**width vectors exactly once and stops after
-the all-ones vector.
+the all-ones vector. `BitCursor` steps that rule in place;
+`counting_vectors` yields the same sequence from `itertools.product`,
+whose last coordinate varies fastest, with each tuple reversed, so no
+Python-level step runs per vector.
 """
 
 from __future__ import annotations
 
+from itertools import islice, product
+from operator import itemgetter
 from typing import Iterator
 
 from increl.model import Bits
@@ -49,18 +54,19 @@ class BitCursor:
         return None
 
 
+# A tuple's items last to first, as a tuple.
+_REVERSED = itemgetter(slice(None, None, -1))
+
+
 def counting_vectors(width: int, skip_zero: bool = False) -> Iterator[Bits]:
-    """Yield every vector of `width` bits in counting order, as tuples.
+    """Every vector of `width` bits in counting order, as tuples.
 
     With `skip_zero` the leading all-zero vector is omitted, leaving
     2**width - 1 vectors. Used to enumerate the state combinations of
     an expansion's arcs, where the zero combination adds nothing and
-    can be skipped on the last growth stage.
+    can be skipped on the last growth stage. A width below 1 raises
+    `ValueError` at the call.
     """
     if width < 1:
         raise ValueError("width must be at least 1")
-    cursor = BitCursor(width)
-    if not skip_zero:
-        yield tuple(cursor.current)
-    while (nxt := cursor.advance()) is not None:
-        yield tuple(nxt)
+    return map(_REVERSED, islice(product((0, 1), repeat=width), int(skip_zero), None))

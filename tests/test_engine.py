@@ -610,8 +610,15 @@ def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
         bases[-1][1] |= label[s] == label[t]
         return label_add_arc(label, ends)
 
+    projected = []
+
+    def counted_projection(label, positions):
+        projected.append(label)
+        return connectivity.project_label(label, positions)
+
     monkeypatch.setattr(engine, "label_add_nodes", counted_base)
     monkeypatch.setattr(engine, "label_add_arc", counted_step)
+    monkeypatch.setattr(engine, "project_label", counted_projection)
     net = grid_3x3()
     # The terminals' positions: the network's nodes come first, sorted.
     s, t = (sorted(net.nodes).index(v) for v in (net.source, net.sink))
@@ -636,13 +643,21 @@ def test_each_distinct_partition_is_extended_once_per_combination(monkeypatch):
             # onto the terminals and the batch's endpoints, and those are fewer.
             keep = {net.source, net.sink}.union(*((u, v) for u, v, _ in specs))
             projections = {project_partition(p, frozenset(keep)) for p in distinct}
-            assert len(projections) < len(distinct)
+            # It projects each distinct tuple of the labels' own characters
+            # at those nodes once. Those are fewer than the labels, and
+            # some differ yet project equally: the projection merges them.
+            position = state.infeasible.order.position
+            at_keep = sorted(position[v] for v in keep if v in position)
+            characters = {tuple(label[i] for i in at_keep) for label in labels}
+            assert len(projections) < len(characters) < len(set(labels))
         expansion = Expansion.for_network(state.network, specs)
         for traced in (True, False):
             bases.clear()
+            projected.clear()
             trace = (lambda block: None) if traced else None
             grown, result = run_expansion(state, expansion, final, trace=trace)
             assert len(bases) == (len(projections) if final and not traced else len(distinct))
+            assert len(projected) == (len(characters) if final and not traced else 0)
             # At most one step per combination past the base, and none
             # from a prefix that already connects.
             assert all(taken <= (1 << len(specs)) - 1 for taken, _ in bases)

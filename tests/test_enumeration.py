@@ -104,3 +104,4 @@ def test_skip_zero_variants():
     assert list(counting_vectors(1, skip_zero=True)) == [(1,)]
     assert list(counting_vectors(1)) == [(0,), (1,)]
     assert len(list(counting_vectors(4, skip_zero=True))) == 15
+    assert list(counting_vectors(4, skip_zero=True)) == list(counting_vectors(4))[1:]
