@@ -10,7 +10,9 @@ search the full graph again.
 Every update runs on one form, a label: one `str` with one character
 per node of a `LabelOrder`, the one node order type. Character i is
 `chr(j)`, where j is the smallest position in node i's component, so
-equal partitions have equal labels. Two nodes share a component exactly
+equal partitions have equal labels. So an order holds at most
+`MAX_NODES` nodes, one per code point; `LabelOrder` raises
+`CapExceededError` for more. Two nodes share a component exactly
 when their characters are equal, and one working arc is one
 `str.replace` (`label_add_arc`), the one union step of the package; a
 batch's new nodes are appended each alone (`label_add_nodes`).
@@ -29,7 +31,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from increl.model import Expansion, ExpansionError, Network
+from increl.model import CapExceededError, Expansion, ExpansionError, Network
 
 
 class LayerTrace(NamedTuple):
@@ -66,16 +68,22 @@ class NodePartition(NamedTuple):
         return frozenset(v for comp in self.middle for v in comp)
 
 
+MAX_NODES = 0x110000  # one `chr` per node: the code points 0..0x10FFFF
+
+
 class LabelOrder:
     """The node order labels are read over: character i is node `nodes[i]`'s.
 
-    `position` maps a node to its i; `s` and `t` are the terminals'.
+    `position` maps a node to its i; `s` and `t` are the terminals'. More
+    than `MAX_NODES` nodes raise `CapExceededError`.
     """
 
     __slots__ = ("nodes", "source", "sink", "position", "s", "t", "_by_id")
 
     def __init__(self, nodes: Iterable[int], source: int, sink: int) -> None:
         self.nodes = nodes = tuple(nodes)
+        if len(nodes) > MAX_NODES:
+            raise CapExceededError(f"{len(nodes)} nodes, labels hold at most {MAX_NODES}")
         self.source, self.sink = source, sink
         self.position = position = {v: i for i, v in enumerate(nodes)}
         self.s, self.t = position[source], position[sink]

@@ -21,7 +21,6 @@ plus its new nodes, is the parent label with one character appended
 per new node. A `NodePartition` is built only at the edge, once per
 distinct label, with its components interned: by `RetainedSet.rows()`,
 and by a traced `TraceBlock`'s `outcomes` or `rows()` when read.
-`RetainedSet.append` takes one in and keeps only its label.
 
 Stage 0 walks the binary-addition tree: each vector's working arcs
 from its lowest one up are those of a vector already met plus that one
@@ -80,9 +79,7 @@ so tracing adds no object per examined vector.
 
 Reliability is accumulated with compensated (Neumaier) summation in a
 fixed order, so identical inputs produce bit-identical results. The
-growth stages write the add out in their loop rather than calling
-`_neumaier_add` once per connecting product. The cyclic
-garbage collector is paused inside the stage loops: they allocate
+cyclic garbage collector is paused inside the stage loops: they allocate
 millions of small objects and form no cycles. The `increl` logger
 gets one debug line per stage.
 """
@@ -176,17 +173,14 @@ class RetainedSet:
     with each distinct label's `NodePartition` built once, and `len`
     counts them.
 
-    `append` adds one vector, with its `NodePartition`, as a group of
-    its own, whose one row is `_IDENTITY_ROW`; such groups share one
-    pair per label. It raises `ValueError` for a partition that
-    `LabelOrder.label` refuses, so `rows()` gives back the partition
-    the engine computes on. Stage 0 keeps its vectors as such groups.
-    `masks` is an `array('Q')` of machine words while
-    `arc_count`, the network's, is at most 64, and a list of ints past
-    that, since masks then outgrow a word. Either form takes `append`.
+    Stage 0 keeps each vector as a group of its own, whose one row is
+    `_IDENTITY_ROW`; such groups share one pair per label. `masks` is an
+    `array('Q')` of machine words while `arc_count`, the network's, is
+    at most 64, and a list of ints past that, since masks then outgrow
+    a word.
     """
 
-    __slots__ = ("masks", "probabilities", "bases", "kept", "order", "_singles")
+    __slots__ = ("masks", "probabilities", "bases", "kept", "order")
 
     def __init__(self, arc_count: int, order: LabelOrder) -> None:
         self.masks: array | list[int] = array("Q") if arc_count <= _WORD_BITS else []
@@ -194,24 +188,9 @@ class RetainedSet:
         self.bases = array("q")
         self.kept: list[tuple[tuple[_Row, ...], tuple[str, ...]]] = []
         self.order = order
-        self._singles: dict[str, tuple] = {}
 
     def __len__(self) -> int:
         return sum([len(labels) for _, labels in self.kept])
-
-    def _add(self, mask: int, label: str, index: int, probability: float) -> None:
-        """Add one vector, with the label of its partition, as a group of one row."""
-        single = self._singles.get(label)
-        if single is None:
-            single = self._singles[label] = ((_IDENTITY_ROW,), (label,))
-        self.masks.append(mask)
-        self.probabilities.append(probability)
-        self.bases.append(index)
-        self.kept.append(single)
-
-    def append(self, mask: int, partition: NodePartition, index: int, probability: float) -> None:
-        """Add one vector as a group of one row."""
-        self._add(mask, self.order.label(partition), index, probability)
 
     def rows(self) -> Iterator[tuple[int, NodePartition, int, float]]:
         """Each vector's mask, partition, generation index and probability, in order."""
@@ -437,18 +416,8 @@ def _log_stage(
         )
 
 
-def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
-    t = total + x
-    if abs(total) >= abs(x):
-        comp += (total - t) + x
-    else:
-        comp += (x - t) + total
-    return t, comp
-
-
 def initial_stage(
     net: Network,
-    max_arcs: int = DEFAULT_MAX_ARCS,
     max_retained: int = DEFAULT_MAX_RETAINED,
     trace: TraceFn | None = None,
 ) -> EngineState:
@@ -478,16 +447,18 @@ def initial_stage(
     m = net.arc_count
     if m < 1:
         raise ValueError("network has no arcs")
-    if m > max_arcs:
-        raise CapExceededError(f"network has {m} arcs, enumeration capped at {max_arcs}")
+    if m > DEFAULT_MAX_ARCS:
+        raise CapExceededError(f"network has {m} arcs, enumeration capped at {DEFAULT_MAX_ARCS}")
     total = comp = 0.0
     order = LabelOrder(sorted(net.nodes), net.source, net.sink)
     ends, s, t = order.ends(net.arcs), order.s, order.t
     # Each arc's factor for a failed and a working state, as `_rows` builds them.
     choices = tuple((1.0 - p, p) for p in net.probabilities)
     retained = RetainedSet(m, order)
-    # Each stage-0 vector is a group of its own.
-    add, groups = retained._add, retained.masks
+    masks, probabilities = retained.masks, retained.probabilities
+    bases, groups = retained.bases, retained.kept
+    # Each stage-0 vector is a group of its own; groups of one label share one pair.
+    singles: dict[str, tuple[tuple[_Row, ...], tuple[str, ...]]] = {}
     partitions = PartitionCache(order)
     label = label_add_nodes("", len(order.nodes))
     stack = [label] * (m + 1)
@@ -499,9 +470,22 @@ def initial_stage(
                 label = label_add_arc(stack[low], ends[low - 1])
             x = prod(map(getitem, choices, bits))
             if label[s] == label[t]:
-                total, comp = _neumaier_add(total, comp, x)
+                # Neumaier's add: every addend and the running sum are
+                # non-negative, so comparing them needs no `abs`.
+                added = total + x
+                if total >= x:
+                    comp += (total - added) + x
+                else:
+                    comp += (x - added) + total
+                total = added
             else:
-                add(k, label, k + 1, x)
+                single = singles.get(label)
+                if single is None:
+                    single = singles[label] = ((_IDENTITY_ROW,), (label,))
+                masks.append(k)
+                probabilities.append(x)
+                bases.append(k + 1)
+                groups.append(single)
                 if len(groups) > max_retained:
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
             stack[:low] = [label] * low
@@ -659,8 +643,7 @@ def run_expansion(
                 if traced:
                     block = (stage, base + offset, examined + 1, head + bits, stage_combos)
                     trace(TraceBlock(*block, outcomes, partitions))
-                # `_neumaier_add`, written out: every addend and the running
-                # sum are non-negative, so comparing them needs no `abs`.
+                # Neumaier's add, as stage 0 writes it.
                 for f in connecting:
                     x = prod(f, start=p)
                     added = total + x
@@ -713,7 +696,6 @@ def run_expansion(
 def run(
     net: Network,
     stages: Sequence[Iterable[ArcSpec]],
-    max_arcs: int = DEFAULT_MAX_ARCS,
     max_retained: int = DEFAULT_MAX_RETAINED,
     trace: TraceFn | None = None,
 ) -> list[StageResult]:
@@ -737,7 +719,7 @@ def run(
         grown = extend_network(grown, expansion)
         expansions.append(expansion)
     start = time.perf_counter()
-    state = initial_stage(net, max_arcs=max_arcs, max_retained=max_retained, trace=trace)
+    state = initial_stage(net, max_retained=max_retained, trace=trace)
     results = [
         StageResult(
             stage_index=0,

@@ -15,7 +15,9 @@ node ids.
 
 from __future__ import annotations
 
-from increl.model import ArcSpec, Network, ParseError, _check_arc, _check_probability
+from increl.connectivity import MAX_NODES
+from increl.model import ArcSpec, CapExceededError, Network, ParseError
+from increl.model import _check_arc, _check_probability
 
 
 def _significant_lines(text: str):
@@ -58,7 +60,8 @@ def parse_network(text: str) -> Network:
     """Parse NET file contents into a validated network.
 
     Node ids must lie in 1..n so that the source (1) and sink (n)
-    exist; files that would need renumbering are rejected.
+    exist; files that would need renumbering are rejected. A count past
+    `MAX_NODES` raises `CapExceededError` before any node is allocated.
     """
     count: int | None = None
     arcs: list[tuple[int, int]] = []
@@ -71,6 +74,8 @@ def parse_network(text: str) -> Network:
             count = _parse_int(fields[1], "node count", lineno)
             if count < 2:
                 raise ParseError("a network needs at least 2 nodes", lineno)
+            if count > MAX_NODES:
+                raise CapExceededError(f"network has {count} nodes, capped at {MAX_NODES}")
             continue
         u, v, p = _parse_arc_line(fields, lineno, pairs)
         if u > count or v > count:

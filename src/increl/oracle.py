@@ -13,6 +13,8 @@ from collections import deque
 
 from increl.model import CapExceededError, Network
 
+_MAX_ARCS = 24
+
 
 def _mask_connects(net: Network, mask: int) -> bool:
     adj: dict[int, list[int]] = {v: [] for v in net.nodes}
@@ -40,11 +42,11 @@ def _mask_probability(net: Network, mask: int) -> float:
     return result
 
 
-def brute_force_reliability(net: Network, max_arcs: int = 24) -> float:
+def brute_force_reliability(net: Network) -> float:
     """Sum the probabilities of every arc state that connects the terminals."""
     m = net.arc_count
-    if m > max_arcs:
-        raise CapExceededError(f"network has {m} arcs, brute force capped at {max_arcs}")
+    if m > _MAX_ARCS:
+        raise CapExceededError(f"network has {m} arcs, brute force capped at {_MAX_ARCS}")
     return math.fsum(
         _mask_probability(net, mask)
         for mask in range(1 << m)

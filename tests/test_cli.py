@@ -84,6 +84,16 @@ def test_compute_over_cap(tmp_path, capsys):
     assert "capped" in err
 
 
+def test_compute_refuses_more_nodes_than_labels_hold(tmp_path, capsys):
+    # One node past one `chr` per node: refused before any node is allocated.
+    big = tmp_path / "big.net"
+    big.write_text(f"nodes {0x110001}\narc 1 2 0.5\n")
+    code, out, err = run_cli(capsys, "compute", str(big))
+    assert code == 2
+    assert out == ""
+    assert f"{0x110001} nodes, capped at {0x110000}" in err
+
+
 def test_compute_over_retained_cap(monkeypatch, capsys):
     # Stage 0 of the bridge retains 16 vectors; a cap of 3 must trip there.
     monkeypatch.setattr(cli, "run", functools.partial(engine.run, max_retained=3))

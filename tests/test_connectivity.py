@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from increl import (
+    CapExceededError,
     Expansion,
     ExpansionError,
     Network,
@@ -223,9 +224,19 @@ def test_labels_and_partitions_convert_both_ways():
 
 
 def test_partition_label_names_a_node_outside_the_order():
-    part = NodePartition(frozenset({1}), frozenset({3}), (frozenset({7}),))
+    order = LabelOrder((1, 2, 3), 1, 3)
+    stray = NodePartition(frozenset({1}), frozenset({3}), (frozenset({7}),))
     with pytest.raises(ValueError, match="node 7 is not in the node order"):
-        LabelOrder((1, 2, 3), 1, 3).label(part)
+        order.label(stray)
+    # Its label over this order would read {1} as the source side.
+    swapped = NodePartition(frozenset({2}), frozenset({3}), (frozenset({1}),))
+    with pytest.raises(ValueError, match="terminals 1 and 3"):
+        order.label(swapped)
+
+
+def test_an_order_holds_at_most_one_node_per_code_point():
+    with pytest.raises(CapExceededError, match=f"{0x110001} nodes, labels hold at most {0x110000}"):
+        LabelOrder(range(0x110001), 1, 2)
 
 
 # A network drawn with every batch's arcs, and a node order drawn with it.

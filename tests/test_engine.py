@@ -19,7 +19,6 @@ from increl import (
     Expansion,
     ExpansionError,
     Network,
-    NodePartition,
     RetainedSet,
     StageResult,
     TraceRow,
@@ -177,8 +176,9 @@ def test_initial_stage_rejects_arcless_network():
 
 
 def test_initial_stage_cap():
-    with pytest.raises(CapExceededError):
-        initial_stage(bridge(), max_arcs=4)
+    # Refused before any vector is enumerated.
+    with pytest.raises(CapExceededError, match="31 arcs, enumeration capped at 30"):
+        initial_stage(_long_ladder(31))
 
 
 def test_initial_stage_retained_cap():
@@ -430,11 +430,11 @@ def _retained(state):
 
 
 def _sliced(state, piece):
-    """A retained set holding a slice of the state's vectors, each a group of its own."""
+    """A retained set holding a slice of the state's groups, each whole."""
     net, retained = state.network, state.infeasible
     part = RetainedSet(net.arc_count, retained.order)
-    for row in list(retained.rows())[piece]:
-        part.append(*row)
+    part.masks, part.probabilities = retained.masks[piece], retained.probabilities[piece]
+    part.bases, part.kept = retained.bases[piece], retained.kept[piece]
     return part
 
 
@@ -520,8 +520,11 @@ def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
         bits = (0, 0, *(int(rng.random() < 0.7) for _ in range(arc_count - 3)), 1)
         part = partition_nodes(net, bits)
         assert not is_connected(part)
-        mask = sum(bit << j for j, bit in enumerate(bits))
-        parents.append(mask, part, 3 * index, vector_probability(bits, net))
+        # Each vector a group of its own, as stage 0 keeps them.
+        parents.masks.append(sum(bit << j for j, bit in enumerate(bits)))
+        parents.probabilities.append(vector_probability(bits, net))
+        parents.bases.append(3 * index)
+        parents.kept.append(((engine._IDENTITY_ROW,), (order.label(part),)))
     assert isinstance(parents.masks, array) is (arc_count <= 64)
     state = EngineState(net, 0, 0.25, 0.0, parents)
     # One arc to a new node from the source, one from it to the sink.
@@ -534,21 +537,6 @@ def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
     assert _retained(grown) == retained
     assert result.vectors_generated == len(rows) == 5 * 4
     assert max(mask for mask, _, _, _ in grown.infeasible.rows()) >= 1 << 64
-
-
-def test_append_refuses_a_partition_that_the_set_would_read_otherwise():
-    retained = RetainedSet(3, LabelOrder((1, 2, 3), 1, 3))
-    # The label of {2} | {3} | {1} over this order reads {1} as the source side.
-    swapped = NodePartition(frozenset({2}), frozenset({3}), (frozenset({1}),))
-    with pytest.raises(ValueError, match="terminals 1 and 3"):
-        retained.append(0, swapped, 1, 0.5)
-    stray = NodePartition(frozenset({1}), frozenset({3}), (frozenset({7}),))
-    with pytest.raises(ValueError, match="node 7 is not in the node order"):
-        retained.append(0, stray, 1, 0.5)
-    assert len(retained) == 0
-    part = NodePartition(frozenset({1}), frozenset({3}), (frozenset({2}),))
-    retained.append(0, part, 1, 0.5)
-    assert list(retained.rows()) == [(0, part, 1, 0.5)]
 
 
 def test_a_slice_of_the_retained_set_runs_a_stage():
@@ -945,8 +933,8 @@ def traced_stage2():
     """What a non-final stage 2 of the 3x3 grid leaves allocated, its
     peak of traced bytes, and its state.
 
-    The stage runs from the first 1,000 of stage 1's 11,373 vectors,
-    each held as a group of its own: every allocation is traced, which makes the full stage some ten
+    The stage runs from the first 1,000 of stage 1's groups, each whole:
+    every allocation is traced, which makes the full stage some ten
     times slower.
     """
     state = initial_stage(grid_3x3())
