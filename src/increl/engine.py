@@ -55,23 +55,23 @@ into the combinations that connect the terminals and the rows the
 stage keeps, as references to the stage's own rows. Every vector
 holding the label reuses the entry: it adds its connecting products
 to the sum, and if it keeps any row it becomes one group of the new
-set. The stage loops over the parent groups, and pairs each group's
-children with their entries once per distinct entry the groups refer
-to. Kept labels are interned by value in one table per stage, so
-equal ones are one object. The vectors are visited in order and each
-one's rows in combination order, so counts, traces and sums are those
-of the plain per-vector loop.
+set. The memo is a dict whose missing key builds the entry, so a group
+maps its children's labels to their entries in C. Kept labels are
+interned by value in one table per stage, so equal ones are one
+object. The vectors are visited in order and each one's rows in
+combination order, so counts, traces and sums are those of the plain
+per-vector loop.
 
 An untraced final stage only has to know which combinations connect
 the terminals, and that depends only on the partition projected onto
 the terminals and the batch's endpoints: the label's characters there,
 renumbered by first occurrence (`project_label`). Its memo entry is
 those combinations, computed once per distinct projection, and it
-visits only the retained vectors that some combination connects, and
-of each only those combinations. Labels with equal characters there
-project equally, so a dict keyed on those raw characters stands in
-front of `project_label`: growth-grid's final stage projects 416 of its
-14,520 distinct labels, and steps from 36 projections.
+skips a retained vector that no combination connects. Labels with
+equal characters there project equally, so a dict keyed on those raw
+characters stands in front of `project_label`: growth-grid's final
+stage projects 416 of its 14,520 distinct labels, and steps from 36
+projections.
 
 A trace callback gets one `TraceBlock` per parent vector: the entry's
 outcome labels, and the stage's shared combinations and label cache,
@@ -95,6 +95,7 @@ from math import prod
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from increl import connectivity
 # extend_partition, extend_partition_detail, is_connected and
 # partition_nodes are not called here, but instrumentation that rebinds
 # this module's connectivity names counts them, so they stay importable
@@ -316,6 +317,24 @@ _Entry = tuple[
 ]
 
 
+class _Memo(dict):
+    """A dict that builds a missing key's value with `build` and keeps it.
+
+    A hit is a plain dict lookup, so `map(memo.__getitem__, keys)` runs
+    in C.
+    """
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[str], object]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: str) -> object:
+        value = self[key] = self.build(key)
+        return value
+
+
 @contextmanager
 def _gc_paused():
     """Disable the cyclic collector, restoring the caller's setting after."""
@@ -458,7 +477,7 @@ def initial_stage(
     masks, probabilities = retained.masks, retained.probabilities
     bases, groups = retained.bases, retained.kept
     # Each stage-0 vector is a group of its own; groups of one label share one pair.
-    singles: dict[str, tuple[tuple[_Row, ...], tuple[str, ...]]] = {}
+    singles = _Memo(lambda label: ((_IDENTITY_ROW,), (label,)))
     partitions = PartitionCache(order)
     label = label_add_nodes("", len(order.nodes))
     stack = [label] * (m + 1)
@@ -479,13 +498,10 @@ def initial_stage(
                     comp += (x - added) + total
                 total = added
             else:
-                single = singles.get(label)
-                if single is None:
-                    single = singles[label] = ((_IDENTITY_ROW,), (label,))
                 masks.append(k)
                 probabilities.append(x)
                 bases.append(k + 1)
-                groups.append(single)
+                groups.append(singles[label])
                 if len(groups) > max_retained:
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
             stack[:low] = [label] * low
@@ -529,22 +545,19 @@ def run_expansion(
     keeps and their child labels, or `_NO_KEPT`. The rows are the
     stage's own, shared by every entry. The entry's outcomes come one
     `label_add_arc` step per combination from the base (`_outcomes`),
-    and a prefix that already connects is reused. A group's plan, each
-    of its vectors with its entry, is made once per (rows, labels) pair
-    the groups refer to, keyed by the pair's identity: the parent set
-    keeps the pair alive. A vector adds its connecting products to the
-    sum in combination order, and if it keeps any row it becomes one
-    group of the new set: its mask, its probability, the count of
-    vectors examined before its own, and the entry's pair. On an
-    untraced final stage the entry depends only on the label projected
-    onto the batch's endpoints and the terminals (`project_label`), so
-    it is computed once per distinct projection, and the projection
-    once per distinct tuple of the label's characters there; the plan
-    holds only the vectors that some combination connects, and each
-    visits only those combinations. Each combination's row (position, bits, shifted
-    mask and probability factors) is built once for the stage and
-    lives as long as the groups that refer to it. The label steps go
-    through this module's globals so instrumentation can rebind them.
+    and a prefix that already connects is reused. A vector adds its
+    connecting products to the sum in combination order, and if it
+    keeps any row it becomes one group of the new set: its mask, its
+    probability, the count of vectors examined before its own, and the
+    entry's pair. On an untraced final stage the entry depends only on
+    the label projected onto the batch's endpoints and the terminals
+    (`project_label`), so it is computed once per distinct projection,
+    and the projection once per distinct tuple of the label's
+    characters there, and a vector that no combination connects is
+    skipped. Each combination's row (position, bits, shifted mask and
+    probability factors) is built once for the stage and lives as long
+    as the groups that refer to it. The label steps go through this
+    module's globals so instrumentation can rebind them.
 
     A batch of more than 16 arcs (`_MAX_BATCH_ARCS`) raises
     `CapExceededError` before any work; split it across several
@@ -582,16 +595,11 @@ def run_expansion(
     at_keep = itemgetter(*keep)
     rows = tuple(_rows(expansion, shift, final))
     stage_combos = tuple(row[1] for row in rows)
-    memo: dict[str, _Entry] = {}
     # Equal characters at `keep` project equally, so `project_label` runs
     # once per distinct tuple of characters, and `new_entry` once per
     # projection.
     by_characters: dict[tuple[str, ...], _Entry] = {}
     by_projection: dict[str, _Entry] = {}
-    # Each parent group's rows and the entries of their children, in two
-    # parallel sequences, by the identity of the group's pair, which the
-    # parent set keeps alive.
-    plans: dict[int, tuple] = {}
     interned: dict[str, str] = {}
     partitions = PartitionCache(order) if traced else None
 
@@ -610,35 +618,21 @@ def run_expansion(
             by_characters[characters] = entry
         return entry
 
-    def entry_of(label: str) -> _Entry:
-        """What the stage's rows make of a vector's label."""
-        entry = memo.get(label)
-        if entry is None:
-            entry = memo[label] = projected_entry(label) if projected else new_entry(label)
-        return entry
-
+    memo = _Memo(projected_entry if projected else new_entry)
     count = 0
     with _gc_paused():
         examined = 0
-        for mask, probability, base, group in zip(
+        for mask, probability, base, (group_rows, labels) in zip(
             parents.masks, parents.probabilities, parents.bases, parents.kept
         ):
-            plan = plans.get(id(group))
-            if plan is None:
-                group_rows, labels = group
-                if projected:
-                    # Nothing is kept: only a connecting child adds anything.
-                    # Built in one pass, since transient copies of every
-                    # group's plan raise the stage's peak memory.
-                    children = zip(group_rows, map(entry_of, labels))
-                    plan = tuple(zip(*[child for child in children if child[1][1]]))
-                else:
-                    plan = group_rows, tuple(map(entry_of, labels))
-                plans[id(group)] = plan
             if traced:
                 # The group's vectors extend its mask by their rows' bits.
-                head = mask_bits(mask, shift - len(group[0][0][1]))
-            for (offset, bits, row_mask, factors), (outcomes, connecting, kept) in zip(*plan):
+                head = mask_bits(mask, shift - len(group_rows[0][1]))
+            children = zip(group_rows, map(memo.__getitem__, labels))
+            for (offset, bits, row_mask, factors), (outcomes, connecting, kept) in children:
+                if projected and not connecting:
+                    # Nothing is kept or traced: only a connecting child adds anything.
+                    continue
                 p = prod(factors, start=probability)
                 if traced:
                     block = (stage, base + offset, examined + 1, head + bits, stage_combos)
@@ -704,12 +698,12 @@ def run(
     `stages` holds one arc-spec batch per growth stage; the last batch
     is treated as final. With no batches this degenerates to the
     initial enumeration. Every batch is bound to the network as grown
-    by the batches before it, and checked against the 16-arc cap,
-    before stage 0 starts, so an input that will be refused does no
-    stage work and hands no block to `trace`. Each returned row
-    carries the exact reliability of the network as grown up to that
-    stage and the wall time of the stage's own work (binding a batch
-    is not counted).
+    by the batches before it, and checked against the 16-arc cap and
+    the grown network against `connectivity.MAX_NODES`, before stage 0
+    starts, so an input that will be refused does no stage work and
+    hands no block to `trace`. Each returned row carries the exact
+    reliability of the network as grown up to that stage and the wall
+    time of the stage's own work (binding a batch is not counted).
     """
     expansions = []
     grown = net
@@ -717,6 +711,9 @@ def run(
         expansion = Expansion.for_network(grown, specs)
         _check_width(expansion)
         grown = extend_network(grown, expansion)
+        count, limit = len(grown.nodes), connectivity.MAX_NODES
+        if count > limit:
+            raise CapExceededError(f"{count} nodes, labels hold at most {limit}")
         expansions.append(expansion)
     start = time.perf_counter()
     state = initial_stage(net, max_retained=max_retained, trace=trace)

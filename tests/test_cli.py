@@ -128,18 +128,22 @@ def test_run_refuses_a_batch_over_16_arcs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "growth, exit_code, fragment",
+    "growth, node_limit, exit_code, fragment",
     [
         # 17 arcs from the bridge to nine new nodes.
-        ([[(1, v) for v in range(5, 14)] + [(v, 4) for v in range(5, 13)]], 2, "split"),
+        ([[(1, v) for v in range(5, 14)] + [(v, 4) for v in range(5, 13)]], None, 2, "split"),
         # The second INC file repeats an arc of the first.
-        ([[(2, 5), (4, 5)], [(3, 5), (5, 2)]], 3, "parallel arc between 5 and 2"),
+        ([[(2, 5), (4, 5)], [(3, 5), (5, 2)]], None, 3, "parallel arc between 5 and 2"),
+        # The second INC file grows the network to six nodes, past a limit of five.
+        ([[(2, 5), (4, 5)], [(5, 6), (3, 6)]], 5, 2, "6 nodes, labels hold at most 5"),
     ],
-    ids=["wide", "parallel"],
+    ids=["wide", "parallel", "nodes"],
 )
 def test_run_refuses_a_batch_before_stage_zero_writes_a_trace(
-    tmp_path, capsys, growth, exit_code, fragment
+    tmp_path, capsys, monkeypatch, growth, node_limit, exit_code, fragment
 ):
+    if node_limit is not None:
+        monkeypatch.setattr(connectivity, "MAX_NODES", node_limit)
     files = []
     for k, arcs in enumerate(growth):
         files.append(tmp_path / f"grow{k}.inc")
@@ -431,11 +435,39 @@ def test_help_exits_0(capsys, argv):
     assert "--parallel" not in out
 
 
-def test_output_stable_across_runs(capsys):
+def test_output_stable_across_runs(capsys, tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import increl
+
     _, first, _ = run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--format", "csv")
     _, second, _ = run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--format", "csv")
     strip_time = lambda text: re.sub(r",\d+\.\d{6}$", ",T", text, flags=re.M)
     assert strip_time(first) == strip_time(second)
+    # Two interpreters that hash strings differently: no order may follow a hash.
+    runs = []
+    for seed in ("0", "1"):
+        trace = tmp_path / f"trace{seed}"
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": str(Path(increl.__file__).resolve().parent.parent),
+        }
+        done = subprocess.run(
+            [sys.executable, "-m", "increl", "run", BRIDGE, GROW1, GROW2, "--format", "csv",
+             "--trace", str(trace)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        files = {path.name: path.read_bytes() for path in sorted(trace.iterdir())}
+        runs.append((strip_time(done.stdout), files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == strip_time(first)
+    assert sorted(runs[0][1]) == ["stage0.csv", "stage1.csv", "stage2.csv"]
 
 
 def test_report_builder_bytes_are_pinned():

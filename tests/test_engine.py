@@ -550,6 +550,31 @@ def test_a_slice_of_the_retained_set_runs_a_stage():
     assert _retained(grown) == retained
 
 
+class _EqualCopies(list):
+    """Groups' (rows, labels) pairs that read as equal copies, a new object each time."""
+
+    def __iter__(self):
+        for rows, labels in super().__iter__():
+            yield tuple([*rows]), tuple([*labels])
+
+
+def test_a_stage_does_not_depend_on_the_identity_of_its_groups_pairs():
+    # A copy freed after its group has been read hands its `id` on to a
+    # later copy, so nothing keyed by identity may outlive the group.
+    state = initial_stage(bridge(0.9))
+    first, second = bridge_stages()
+    state, _ = run_expansion(state, Expansion.for_network(state.network, first), final=False)
+    copied = state._replace(infeasible=_sliced(state, slice(None)))
+    copied.infeasible.kept = _EqualCopies(copied.infeasible.kept)
+    expansion = Expansion.for_network(state.network, second)
+    for trace in (None, lambda block: None):
+        expected = run_expansion(state, expansion, final=True, trace=trace)
+        got = run_expansion(copied, expansion, final=True, trace=trace)
+        assert got[0].reliability.hex() == expected[0].reliability.hex()
+        assert _comparable(got[1]) == _comparable(expected[1])
+        assert got[0].reliability == pytest.approx(0.98872974, abs=1e-12)
+
+
 @pytest.mark.parametrize("final", [False, True], ids=["kept", "final"])
 def test_groups_of_equal_partitions_keep_their_own_rows(final):
     # Vectors 00110 and 00111 of the bridge share one partition, {1} and
