@@ -199,7 +199,7 @@ def build_run_report(
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def cmd_run(args: argparse.Namespace) -> int:

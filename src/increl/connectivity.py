@@ -32,6 +32,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from increl.model import CapExceededError, Expansion, ExpansionError, Network
+from increl.model import _check_length
 
 
 class LayerTrace(NamedTuple):
@@ -176,10 +177,7 @@ class PartitionCache(dict):
 
 
 def _adjacency(net: Network, bits: Sequence[int]) -> dict[int, list[int]]:
-    if len(bits) != len(net.arcs):
-        raise ValueError(
-            f"vector covers {len(bits)} arcs but the network has {len(net.arcs)}"
-        )
+    _check_length(bits, net)
     adj: dict[int, list[int]] = {v: [] for v in net.nodes}
     for (u, v), bit in zip(net.arcs, bits):
         if bit:

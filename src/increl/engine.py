@@ -42,7 +42,7 @@ the parent's times the new arcs' factors in arc order. That is the
 order `vector_probability` multiplies in, so the product is
 bit-identical to recomputing it over the whole vector, and no stage
 after the first rebuilds a vector or its probability. Masks are
-machine words while the network has at most 64 arcs.
+machine words: `_bind` holds a stage that keeps vectors to 64 arcs.
 
 What a combination does to a vector depends only on the vector's
 partition, and many retained vectors share one. So each stage runs one
@@ -95,7 +95,6 @@ from math import prod
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from increl import connectivity
 # extend_partition, extend_partition_detail, is_connected and
 # partition_nodes are not called here, but instrumentation that rebinds
 # this module's connectivity names counts them, so they stay importable
@@ -139,7 +138,8 @@ DEFAULT_MAX_RETAINED = 1 << 24
 # this many arcs: 2**16 rows. A wider batch is refused; the same arcs
 # split across several batches give the same reliability, up to rounding.
 _MAX_BATCH_ARCS = 16
-# The bits of an `array('Q')` item: masks of wider networks are ints.
+# The bits of an `array('Q')` mask, the most arcs a stage that keeps vectors may have:
+# one of 65 keeps every vector that fails a minimum s-t cut, 2**32 or more.
 _WORD_BITS = 64
 
 
@@ -175,16 +175,14 @@ class RetainedSet:
     counts them.
 
     Stage 0 keeps each vector as a group of its own, whose one row is
-    `_IDENTITY_ROW`; such groups share one pair per label. `masks` is an
-    `array('Q')` of machine words while `arc_count`, the network's, is
-    at most 64, and a list of ints past that, since masks then outgrow
-    a word.
+    `_IDENTITY_ROW`; such groups share one pair per label. Masks are
+    machine words: `_bind` holds a stage that keeps vectors to 64 arcs.
     """
 
     __slots__ = ("masks", "probabilities", "bases", "kept", "order")
 
-    def __init__(self, arc_count: int, order: LabelOrder) -> None:
-        self.masks: array | list[int] = array("Q") if arc_count <= _WORD_BITS else []
+    def __init__(self, order: LabelOrder) -> None:
+        self.masks = array("Q")
         self.probabilities = array("d")
         self.bases = array("q")
         self.kept: list[tuple[tuple[_Row, ...], tuple[str, ...]]] = []
@@ -473,7 +471,7 @@ def initial_stage(
     ends, s, t = order.ends(net.arcs), order.s, order.t
     # Each arc's factor for a failed and a working state, as `_rows` builds them.
     choices = tuple((1.0 - p, p) for p in net.probabilities)
-    retained = RetainedSet(m, order)
+    retained = RetainedSet(order)
     masks, probabilities = retained.masks, retained.probabilities
     bases, groups = retained.bases, retained.kept
     # Each stage-0 vector is a group of its own; groups of one label share one pair.
@@ -511,14 +509,25 @@ def initial_stage(
     return EngineState(net, 0, total, comp, retained)
 
 
-def _check_width(expansion: Expansion) -> None:
-    """Refuse a batch of more than `_MAX_BATCH_ARCS` arcs."""
+def _bind(
+    net: Network, order: LabelOrder, expansion: Expansion, final: bool
+) -> tuple[Network, LabelOrder]:
+    """The network and label order grown by `expansion`, or a refusal.
+
+    The one owner of a batch's rules: the 16-arc cap, the grown network (`extend_network`,
+    a global for instrumentation), the node limit and, unless `final`, 64 arcs, in order.
+    """
     width = expansion.arc_count
     if width > _MAX_BATCH_ARCS:
         raise CapExceededError(
             f"expansion adds {width} arcs, {1 << width} combinations per retained vector;"
             f" split the batch across INC files of at most {_MAX_BATCH_ARCS} arcs"
         )
+    grown = extend_network(net, expansion)
+    grown_order = order.grown(expansion.new_nodes)
+    if not final and grown.arc_count > _WORD_BITS:
+        raise CapExceededError(f"{grown.arc_count} arcs before the final stage; masks hold 64")
+    return grown, grown_order
 
 
 def run_expansion(
@@ -559,9 +568,8 @@ def run_expansion(
     as the groups that refer to it. The label steps go through this
     module's globals so instrumentation can rebind them.
 
-    A batch of more than 16 arcs (`_MAX_BATCH_ARCS`) raises
-    `CapExceededError` before any work; split it across several
-    batches.
+    `_bind` checks the batch before any work and refuses it with the
+    error `run` raises for it.
 
     `trace`, if given, gets one `TraceBlock` per retained vector, in
     generation order, with its outcome labels and the stage's one
@@ -570,20 +578,18 @@ def run_expansion(
     start = time.perf_counter()
     if state.finalized:
         raise ExpansionError("the final stage has already run")
-    _check_width(expansion)
     net = state.network
-    new_net = extend_network(net, expansion)
+    parents = state.infeasible
+    new_net, order = _bind(net, parents.order, expansion, final)
     stage = state.stage_index + 1
     shift = net.arc_count
     combos = (1 << expansion.arc_count) - final
 
-    parents = state.infeasible
-    order = parents.order.grown(expansion.new_nodes)
     ends, s, t = order.ends(expansion.arcs), order.s, order.t
     new_count = len(expansion.new_nodes)
 
     total, comp = state.reliability_sum, state.reliability_comp
-    retained = RetainedSet(new_net.arc_count, order)
+    retained = RetainedSet(order)
     masks, probabilities = retained.masks, retained.probabilities
     bases, groups = retained.bases, retained.kept
     traced = trace is not None
@@ -698,22 +704,17 @@ def run(
     `stages` holds one arc-spec batch per growth stage; the last batch
     is treated as final. With no batches this degenerates to the
     initial enumeration. Every batch is bound to the network as grown
-    by the batches before it, and checked against the 16-arc cap and
-    the grown network against `connectivity.MAX_NODES`, before stage 0
-    starts, so an input that will be refused does no stage work and
-    hands no block to `trace`. Each returned row carries the exact
+    by the batches before it (`Expansion.for_network`, `_bind`) before
+    stage 0 starts, so an input that will be refused does no stage work
+    and hands no block to `trace`. Each returned row carries the exact
     reliability of the network as grown up to that stage and the wall
     time of the stage's own work (binding a batch is not counted).
     """
     expansions = []
-    grown = net
-    for specs in stages:
+    grown, order = net, LabelOrder(sorted(net.nodes), net.source, net.sink)
+    for k, specs in enumerate(stages):
         expansion = Expansion.for_network(grown, specs)
-        _check_width(expansion)
-        grown = extend_network(grown, expansion)
-        count, limit = len(grown.nodes), connectivity.MAX_NODES
-        if count > limit:
-            raise CapExceededError(f"{count} nodes, labels hold at most {limit}")
+        grown, order = _bind(grown, order, expansion, final=(k == len(stages) - 1))
         expansions.append(expansion)
     start = time.perf_counter()
     state = initial_stage(net, max_retained=max_retained, trace=trace)

@@ -43,13 +43,20 @@ def _check_probability(p: float) -> float:
 
 
 def _check_arc(u: int, v: int, pairs: set[frozenset[int]]) -> None:
-    """Reject a self-loop or an unordered pair already in `pairs`, then record it."""
+    """Reject a node id below 1, a self-loop or a pair already in `pairs`, then record it."""
+    if u < 1 or v < 1:
+        raise ValueError(f"node ids must be positive, got ({u}, {v})")
     if u == v:
         raise ValueError(f"self-loop at node {u}")
     pair = frozenset((u, v))
     if pair in pairs:
         raise ValueError(f"parallel arc between {u} and {v}")
     pairs.add(pair)
+
+
+def _check_length(bits: Sequence[int], net: Network) -> None:
+    if len(bits) != net.arc_count:
+        raise ValueError(f"vector covers {len(bits)} arcs but the network has {net.arc_count}")
 
 
 class _Frozen:
@@ -174,9 +181,9 @@ class Expansion(_Frozen):
     def for_network(cls, net: Network, specs: Iterable[ArcSpec]) -> "Expansion":
         """Validate `specs` against `net` and bind the batch to it.
 
-        Raises ExpansionError if the batch would break simplicity
-        (self-loop, duplicate unordered pair within the batch or against
-        the network) or carries an out-of-range probability.
+        Raises ExpansionError where `_check_arc` or `_check_probability`,
+        which `Network` and the file parser share, refuse an arc: a node id
+        below 1, a self-loop, a repeated pair, or a probability outside [0, 1].
         """
         specs = tuple(specs)
         if not specs:
@@ -186,8 +193,6 @@ class Expansion(_Frozen):
         pairs = set(net.arc_pairs())
         for u, v, p in specs:
             u, v = int(u), int(v)
-            if u < 1 or v < 1:
-                raise ExpansionError(f"node ids must be positive, got ({u}, {v})")
             try:
                 _check_arc(u, v, pairs)
                 probs.append(_check_probability(p))
@@ -230,10 +235,7 @@ def vector_probability(bits: Sequence[int], net: Network) -> float:
     the remaining arcs' factors, one at a time, is the same float. The
     vector must cover every arc of `net`.
     """
-    if len(bits) != len(net.probabilities):
-        raise ValueError(
-            f"vector covers {len(bits)} arcs but the network has {len(net.probabilities)}"
-        )
+    _check_length(bits, net)
     result = 1.0
     for bit, p in zip(bits, net.probabilities):
         result *= p if bit else 1.0 - p

@@ -48,8 +48,6 @@ def _parse_arc_line(fields: list[str], lineno: int, pairs: set[frozenset[int]]) 
         raise ParseError(f"probability must be a number, got {fields[3]!r}", lineno) from None
     try:
         p = _check_probability(p)
-        if u < 1 or v < 1:
-            raise ValueError(f"node ids must be positive, got {u} and {v}")
         _check_arc(u, v, pairs)
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None

@@ -45,11 +45,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_compute_bridge(capsys):
-    code, out, _ = run_cli(capsys, "compute", BRIDGE)
-    assert code == 0
-    assert "reliability: 0.97848" in out
-    assert re.search(r"^\s*0\s+5\s+32\s+16\s+0\.97848", out, re.M)
+def test_compute_bridge(tmp_path, capsys):
+    # The same file saved with a UTF-8 byte-order mark reads the same.
+    bom = tmp_path / "bom.net"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(BRIDGE).read_bytes())
+    for path in (BRIDGE, str(bom)):
+        code, out, _ = run_cli(capsys, "compute", path)
+        assert code == 0
+        assert "reliability: 0.97848" in out
+        assert re.search(r"^\s*0\s+5\s+32\s+16\s+0\.97848", out, re.M)
 
 
 def test_compute_malformed_file(tmp_path, capsys):

@@ -236,7 +236,7 @@ def test_empty_retained_set_is_a_no_op():
         stage_index=state.stage_index,
         reliability_sum=state.reliability_sum,
         reliability_comp=state.reliability_comp,
-        infeasible=RetainedSet(net.arc_count, state.infeasible.order),
+        infeasible=RetainedSet(state.infeasible.order),
     )
     expansion = Expansion.for_network(empty.network, bridge_stages()[0])
     updated, result = run_expansion(empty, expansion, final=False)
@@ -431,8 +431,8 @@ def _retained(state):
 
 def _sliced(state, piece):
     """A retained set holding a slice of the state's groups, each whole."""
-    net, retained = state.network, state.infeasible
-    part = RetainedSet(net.arc_count, retained.order)
+    retained = state.infeasible
+    part = RetainedSet(retained.order)
     part.masks, part.probabilities = retained.masks[piece], retained.probabilities[piece]
     part.bases, part.kept = retained.bases[piece], retained.kept[piece]
     return part
@@ -505,19 +505,18 @@ def _long_ladder(arc_count):
     return Network(nodes, tuple(arcs), (0.5,) * arc_count, 1, max(nodes))
 
 
-@pytest.mark.parametrize("arc_count", [63, 65])
-def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
-    net = _long_ladder(arc_count)
+@pytest.mark.parametrize("arc_count", [64, 65])
+def test_a_stage_that_keeps_vectors_holds_its_masks_in_a_word(arc_count):
+    # A 63-arc ladder grown by an arc from the source to a new node, to
+    # 64 arcs, or by that arc and one on to the sink, to 65.
+    net = _long_ladder(63)
     order = LabelOrder(sorted(net.nodes), net.source, net.sink)
-    assert isinstance(RetainedSet(64, order).masks, array)
-    assert RetainedSet(64, order).masks.typecode == "Q"
-    assert type(RetainedSet(65, order).masks) is list
-    rng = random.Random(arc_count)
+    rng = random.Random(63)
     # A few vectors with the source's two arcs failed, so none joins the
     # terminals, and the last arc working.
-    parents = RetainedSet(arc_count, order)
+    parents = RetainedSet(order)
     for index in range(1, 6):
-        bits = (0, 0, *(int(rng.random() < 0.7) for _ in range(arc_count - 3)), 1)
+        bits = (0, 0, *(int(rng.random() < 0.7) for _ in range(60)), 1)
         part = partition_nodes(net, bits)
         assert not is_connected(part)
         # Each vector a group of its own, as stage 0 keeps them.
@@ -525,18 +524,26 @@ def test_masks_past_64_arcs_are_ints_that_run_a_stage(arc_count):
         parents.probabilities.append(vector_probability(bits, net))
         parents.bases.append(3 * index)
         parents.kept.append(((engine._IDENTITY_ROW,), (order.label(part),)))
-    assert isinstance(parents.masks, array) is (arc_count <= 64)
     state = EngineState(net, 0, 0.25, 0.0, parents)
-    # One arc to a new node from the source, one from it to the sink.
-    batch = ((1, 1000, 0.75), (1000, net.sink, 0.5))
+    batch = ((1, 1000, 0.75), (1000, net.sink, 0.5))[: arc_count - 63]
     expansion = Expansion.for_network(net, batch)
+    if arc_count > 64:
+        with pytest.raises(CapExceededError, match="65 arcs before the final stage; masks hold 64"):
+            run_expansion(state, expansion, final=False)
+        # A final stage keeps nothing, so it may pass the word.
+        reliability, _, rows = _reference_expansion(state, expansion, final=True)
+        grown, result = run_expansion(state, expansion, final=True)
+        assert grown.reliability.hex() == reliability
+        assert result.vectors_generated == len(rows) == 5 * 3
+        return
     reliability, retained, rows = _reference_expansion(state, expansion, final=False)
     grown, result = run_expansion(state, expansion, final=False)
-    assert type(grown.infeasible.masks) is list
+    assert isinstance(grown.infeasible.masks, array) and grown.infeasible.masks.typecode == "Q"
     assert grown.reliability.hex() == reliability
     assert _retained(grown) == retained
-    assert result.vectors_generated == len(rows) == 5 * 4
-    assert max(mask for mask, _, _, _ in grown.infeasible.rows()) >= 1 << 64
+    assert result.vectors_generated == len(rows) == 5 * 2
+    # The new arc's working state is the word's top bit.
+    assert max(mask for mask, _, _, _ in grown.infeasible.rows()) >= 1 << 63
 
 
 def test_a_slice_of_the_retained_set_runs_a_stage():
@@ -586,7 +593,7 @@ def test_groups_of_equal_partitions_keep_their_own_rows(final):
     assert part == partition_nodes(net, (0, 0, 1, 1, 0)) and not is_connected(part)
     p = net.probabilities[0]
     order = LabelOrder(sorted(net.nodes), net.source, net.sink)
-    parents = RetainedSet(net.arc_count, order)
+    parents = RetainedSet(order)
     label = order.label(part)
     for offset, bit in ((1, 0), (2, 1)):
         parents.masks.append(0b1100)
@@ -839,12 +846,38 @@ def test_run_binds_and_checks_every_batch_before_stage_zero(monkeypatch):
         raise AssertionError("stage 0 ran before every batch was checked")
 
     monkeypatch.setattr(engine, "initial_stage", no_stage)
-    first = bridge_stages()[0]
-    wide = [(1, 100 + k, 0.5) for k in range(17)]
-    with pytest.raises(CapExceededError, match="split"):
-        run(bridge(), [first, wide])
-    with pytest.raises(ExpansionError, match="parallel"):
-        run(bridge(), [first, bridge_stages()[1], first])
+    first, second = bridge_stages()
+    limit = connectivity.MAX_NODES
+    # A network, the batches before the refused one, the refused batch,
+    # which is not the last, the node limit, the error and its message.
+    cases = [
+        (bridge(), [first], [(1, 100 + k, 0.5) for k in range(17)], limit,
+         CapExceededError, "split"),
+        (bridge(), [first, second], first, limit, ExpansionError, "parallel"),
+        (bridge(), [first], [(1, 6, 0.5), (6, 7, 0.5)], 6,
+         CapExceededError, "7 nodes, labels hold at most 6"),
+        (bridge(), [first], [(0, 5, 0.5)], limit,
+         ExpansionError, r"node ids must be positive, got \(0, 5\)"),
+        (_long_ladder(60), [], [(1, 100 + k, 0.5) for k in range(5)], limit,
+         CapExceededError, "65 arcs before the final stage; masks hold 64"),
+    ]
+    for net, before, refused, node_limit, error, message in cases:
+        monkeypatch.setattr(connectivity, "MAX_NODES", node_limit)
+        with pytest.raises(error, match=message) as by_run:
+            run(net, [*before, refused, [(1, 999, 0.5)]])
+        # The same batch, unchecked, handed to the stage that would run it.
+        grown = net
+        for specs in before:
+            grown = extend_network(grown, Expansion.for_network(grown, specs))
+        order = LabelOrder(sorted(grown.nodes), grown.source, grown.sink)
+        arcs = tuple((u, v) for u, v, _ in refused)
+        new_nodes = frozenset(w for arc in arcs for w in arc) - grown.nodes
+        expansion = Expansion(arcs, tuple(p for _, _, p in refused), new_nodes)
+        state = EngineState(grown, len(before), 0.0, 0.0, RetainedSet(order))
+        with pytest.raises(error) as by_stage:
+            run_expansion(state, expansion, final=False)
+        assert type(by_stage.value) is type(by_run.value)
+        assert str(by_stage.value) == str(by_run.value)
 
 
 def _rows_held(grown):

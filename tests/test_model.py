@@ -157,6 +157,10 @@ def test_expansion_rejects_self_loop_and_empty():
 def test_expansion_rejects_node_id_zero():
     with pytest.raises(ExpansionError, match="node ids must be positive, got \\(0, 5\\)"):
         Expansion.for_network(bridge(), ((0, 5, 0.5),))
+    # A network owns the same rule, so no network can hold an arc an
+    # expansion would refuse.
+    with pytest.raises(ValueError, match="node ids must be positive, got \\(0, 1\\)"):
+        Network(frozenset({0, 1, 2}), ((0, 1), (1, 2)), (0.9, 0.9), 0, 2)
 
 
 def test_expansion_derives_new_nodes():
