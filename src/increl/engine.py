@@ -82,6 +82,9 @@ fixed order, so identical inputs produce bit-identical results. The
 cyclic garbage collector is paused inside the stage loops: they allocate
 millions of small objects and form no cycles. The `increl` logger
 gets one debug line per stage.
+
+`run` binds each batch once, all before stage 0 (`_bind`), and runs
+its stage from that binding (`_run_bound`), as `run_expansion` does.
 """
 
 from __future__ import annotations
@@ -537,7 +540,27 @@ def run_expansion(
     max_retained: int = DEFAULT_MAX_RETAINED,
     trace: TraceFn | None = None,
 ) -> tuple[EngineState, StageResult]:
-    """Extend every retained vector by one batch of new arcs.
+    """Extend every retained vector by one batch of new arcs, as `_run_bound` does.
+
+    Refuses a finalized state, then binds the batch with `_bind`, which
+    refuses it with the error `run` raises for it, before any work.
+    """
+    if state.finalized:
+        raise ExpansionError("the final stage has already run")
+    grown, order = _bind(state.network, state.infeasible.order, expansion, final)
+    return _run_bound(state, expansion, grown, order, final, max_retained, trace)
+
+
+def _run_bound(
+    state: EngineState,
+    expansion: Expansion,
+    new_net: Network,
+    order: LabelOrder,
+    final: bool,
+    max_retained: int,
+    trace: TraceFn | None,
+) -> tuple[EngineState, StageResult]:
+    """The growth stage of `run` and `run_expansion`, on a batch `_bind` has bound.
 
     Each retained vector is combined with every state combination of
     the expansion's arcs (skipping the all-zero combination when
@@ -568,21 +591,14 @@ def run_expansion(
     as the groups that refer to it. The label steps go through this
     module's globals so instrumentation can rebind them.
 
-    `_bind` checks the batch before any work and refuses it with the
-    error `run` raises for it.
-
     `trace`, if given, gets one `TraceBlock` per retained vector, in
     generation order, with its outcome labels and the stage's one
-    label -> `NodePartition` cache.
+    label -> `NodePartition` cache. `elapsed_s` starts after binding.
     """
     start = time.perf_counter()
-    if state.finalized:
-        raise ExpansionError("the final stage has already run")
-    net = state.network
     parents = state.infeasible
-    new_net, order = _bind(net, parents.order, expansion, final)
     stage = state.stage_index + 1
-    shift = net.arc_count
+    shift = state.network.arc_count
     combos = (1 << expansion.arc_count) - final
 
     ends, s, t = order.ends(expansion.arcs), order.s, order.t
@@ -703,19 +719,21 @@ def run(
 
     `stages` holds one arc-spec batch per growth stage; the last batch
     is treated as final. With no batches this degenerates to the
-    initial enumeration. Every batch is bound to the network as grown
-    by the batches before it (`Expansion.for_network`, `_bind`) before
-    stage 0 starts, so an input that will be refused does no stage work
-    and hands no block to `trace`. Each returned row carries the exact
-    reliability of the network as grown up to that stage and the wall
-    time of the stage's own work (binding a batch is not counted).
+    initial enumeration. Before stage 0 starts, every batch is bound
+    once, to the network as grown by the batches before it
+    (`Expansion.for_network`, `_bind`), so an input that will be refused
+    does no stage work and hands no block to `trace`; each growth stage
+    runs from its binding (`_run_bound`). Each returned row carries the
+    exact reliability of the network as grown up to that stage and the
+    wall time of the stage's own work (binding a batch is not counted).
     """
-    expansions = []
+    plan = []
     grown, order = net, LabelOrder(sorted(net.nodes), net.source, net.sink)
     for k, specs in enumerate(stages):
         expansion = Expansion.for_network(grown, specs)
-        grown, order = _bind(grown, order, expansion, final=(k == len(stages) - 1))
-        expansions.append(expansion)
+        final = k == len(stages) - 1
+        grown, order = _bind(grown, order, expansion, final)
+        plan.append((expansion, grown, order, final))
     start = time.perf_counter()
     state = initial_stage(net, max_retained=max_retained, trace=trace)
     results = [
@@ -728,14 +746,8 @@ def run(
             elapsed_s=time.perf_counter() - start,
         )
     ]
-    for k, expansion in enumerate(expansions):
-        state, result = run_expansion(
-            state,
-            expansion,
-            final=(k == len(expansions) - 1),
-            max_retained=max_retained,
-            trace=trace,
-        )
+    for bound in plan:
+        state, result = _run_bound(state, *bound, max_retained, trace)
         results.append(result)
     return results
 
@@ -750,7 +762,5 @@ def full_enumeration_counts(net: Network, stages: Sequence[Iterable[ArcSpec]]) -
     m = net.arc_count
     for batch in [(), *stages]:
         m += len(tuple(batch))
-        if m > 62:
-            raise CapExceededError(f"2**{m} exceeds the counter range")
         counts.append(1 << m)
     return counts

@@ -160,6 +160,23 @@ def test_run_refuses_a_batch_before_stage_zero_writes_a_trace(
     assert not (trace / "stage0.csv").exists()
 
 
+def test_run_refuses_65_arcs_before_the_final_stage_as_the_library_does(tmp_path, capsys):
+    # A 30-arc path grown by batches of 16, 16, 3 and 1 arcs: the third
+    # batch makes 65 arcs with one stage to go.
+    net = tmp_path / "path.net"
+    net.write_text("nodes 31\n" + "".join(f"arc {v} {v + 1} 0.9\n" for v in range(1, 31)))
+    files = []
+    for k, width in enumerate((16, 16, 3, 1), start=1):
+        files.append(tmp_path / f"grow{k}.inc")
+        files[-1].write_text("".join(f"arc {k} {100 * k + j} 0.9\n" for j in range(width)))
+    trace = tmp_path / "trace"
+    code, out, err = run_cli(capsys, "run", str(net), *map(str, files), "--trace", str(trace))
+    assert code == 2
+    assert out == ""
+    assert "65 arcs before the final stage; masks hold 64" in err
+    assert list(trace.glob("stage*.csv")) == []
+
+
 def test_run_naive_column(capsys):
     code, out, _ = run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--naive")
     assert code == 0
