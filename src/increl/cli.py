@@ -11,10 +11,10 @@ Exit codes: 0 ok (also for ``--help``), 1 parse error, unreadable
 file or command-line usage error, 2 size cap exceeded, 3 invalid
 expansion.
 
-``run --trace DIR`` writes ``stageK.csv`` per stage, one row per
-examined vector. The engine hands the rows over as one `TraceBlock`
-per parent vector, and `TraceDirectory` writes each block at once,
-rendering the set columns from the outcome labels by `LabelOrder.split`.
+``run --trace DIR`` replaces DIR's ``stageK.csv`` files with one per
+stage, one row per examined vector. The engine hands the rows over as
+one `TraceBlock` per parent vector, and `TraceDirectory` writes each
+block at once, rendering the set columns by `LabelOrder.split`.
 """
 
 from __future__ import annotations
@@ -94,34 +94,37 @@ class _LabelColumns(dict):
 class TraceDirectory:
     """Streams trace blocks into one CSV file per stage, one write per block.
 
-    The blocks of a stage share one combination tuple, and many rows
-    share an outcome label. So each combination's bit string is
-    rendered once per tuple, each label's set columns once per stage,
-    and a row joins the parent's bit string to those.
+    A run's first block makes the directory and removes the stage files
+    (``stage<K>.csv``, K as the writer prints it) an earlier run left.
+    Every stage call brings its own label cache and combinations, so per
+    cache each combination's bit string is rendered once, each label's
+    set columns on first use, and a row joins the parent's bits to those.
     """
 
     def __init__(self, directory: Path):
         self.directory = directory
-        directory.mkdir(parents=True, exist_ok=True)
         self._files: dict[int, TextIO] = {}
-        # The columns of the labels of `_partitions`, the last block's label cache.
+        # The last block's label cache, held so its identity cannot pass to
+        # another, with its labels' columns and its combinations' bit strings.
         self._partitions: PartitionCache | None = None
         self._columns: dict[str, str] = {}
-        # Holding the tuple keeps its identity from passing to another one.
-        self._combos: tuple[Bits, ...] = ()
         self._tails: tuple[str, ...] = ()
 
     def __call__(self, block: TraceBlock) -> None:
         handle = self._files.get(block.stage)
         if handle is None:
+            if not self._files:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                for path in self.directory.glob("stage*.csv"):
+                    k = path.name[5:-4]
+                    if k.isdecimal() and path.name == f"stage{int(k)}.csv":
+                        path.unlink()
             handle = (self.directory / f"stage{block.stage}.csv").open("w", encoding="utf-8")
             handle.write(TRACE_HEADER + "\n")
             self._files[block.stage] = handle
         if block.partitions is not self._partitions:
             self._partitions = block.partitions
             self._columns = _LabelColumns(block.partitions.order)
-        if block.combos is not self._combos:
-            self._combos = block.combos
             self._tails = tuple(map(_bit_string, block.combos))
         columns = self._columns
         parent, head = f"{block.parent_index},", f",{_bit_string(block.head)}"
@@ -132,8 +135,7 @@ class TraceDirectory:
         for handle in self._files.values():
             handle.close()
         self._files.clear()
-        self._partitions, self._columns = None, {}
-        self._combos, self._tails = (), ()
+        self._partitions, self._columns, self._tails = None, {}, ()
 
 
 def build_run_report(

@@ -348,19 +348,18 @@ def _gc_paused():
             gc.enable()
 
 
-def _rows(expansion: Expansion, shift: int, final: bool) -> Iterator[_Row]:
+def _rows(expansion: Expansion, shift: int) -> Iterator[_Row]:
     """Yield one row per combination of the batch's arcs, in counting order.
 
-    A row's 1-based position, added to the count of rows of the vectors
-    before its parent, gives its generation index. The k-th combination's mask is k shifted past
-    the `shift` existing arcs; its factors are p for a working arc and
-    1 - p for a failed one, the values `vector_probability` multiplies
-    by.
+    Combination k is row k + 1, whose 1-based position, added to the count
+    of rows of the vectors before its parent, gives its generation index.
+    Its mask is k shifted past the `shift` existing arcs; its factors are
+    p for a working arc and 1 - p for a failed one, the values
+    `vector_probability` multiplies by. A final stage slices off row 1.
     """
     choices = tuple((1.0 - p, p) for p in expansion.probabilities)
-    combos = counting_vectors(expansion.arc_count, skip_zero=final)
-    for k, combo in enumerate(combos, start=final):
-        yield k + 1 - final, combo, k << shift, tuple(map(getitem, choices, combo))
+    for k, combo in enumerate(counting_vectors(expansion.arc_count)):
+        yield k + 1, combo, k << shift, tuple(map(getitem, choices, combo))
 
 
 def _outcomes(
@@ -563,11 +562,11 @@ def _run_bound(
     """The growth stage of `run` and `run_expansion`, on a batch `_bind` has bound.
 
     Each retained vector is combined with every state combination of
-    the expansion's arcs (skipping the all-zero combination when
-    `final`, because its result is known infeasible and would never be
-    used). Feasible extensions are folded into the reliability sum;
-    infeasible ones form the next retained set, or are dropped
-    entirely on the final stage.
+    the expansion's arcs; a final stage slices the all-zero one off its
+    rows and outcomes, since it cannot connect and nothing is kept, so
+    no position of those rows is read. Feasible extensions are folded
+    into the reliability sum; infeasible ones form the next retained
+    set, or are dropped entirely on the final stage.
 
     The new set's node order is the parent set's plus the batch's new
     nodes sorted. One loop visits the parent groups in order, and each
@@ -599,7 +598,6 @@ def _run_bound(
     parents = state.infeasible
     stage = state.stage_index + 1
     shift = state.network.arc_count
-    combos = (1 << expansion.arc_count) - final
 
     ends, s, t = order.ends(expansion.arcs), order.s, order.t
     new_count = len(expansion.new_nodes)
@@ -615,7 +613,8 @@ def _run_bound(
     keep = sorted(i for i in {s, t}.union(*ends) if i < len(parents.order.nodes))
     # A label's characters at `keep`, a tuple: `keep` holds both terminals.
     at_keep = itemgetter(*keep)
-    rows = tuple(_rows(expansion, shift, final))
+    rows = tuple(_rows(expansion, shift))[final:]
+    combos = len(rows)
     stage_combos = tuple(row[1] for row in rows)
     # Equal characters at `keep` project equally, so `project_label` runs
     # once per distinct tuple of characters, and `new_entry` once per

@@ -12,7 +12,7 @@ Python-level step runs per vector.
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import product
 from operator import itemgetter
 from typing import Iterator
 
@@ -58,15 +58,14 @@ class BitCursor:
 _REVERSED = itemgetter(slice(None, None, -1))
 
 
-def counting_vectors(width: int, skip_zero: bool = False) -> Iterator[Bits]:
+def counting_vectors(width: int) -> Iterator[Bits]:
     """Every vector of `width` bits in counting order, as tuples.
 
-    With `skip_zero` the leading all-zero vector is omitted, leaving
-    2**width - 1 vectors. Used to enumerate the state combinations of
-    an expansion's arcs, where the zero combination adds nothing and
-    can be skipped on the last growth stage. A width below 1 raises
+    Enumerates a network's state vectors at stage 0 and the state
+    combinations of an expansion's arcs; a final stage slices off the
+    leading all-zero combination itself. A width below 1 raises
     `ValueError` at the call.
     """
     if width < 1:
         raise ValueError("width must be at least 1")
-    return map(_REVERSED, islice(product((0, 1), repeat=width), int(skip_zero), None))
+    return map(_REVERSED, product((0, 1), repeat=width))

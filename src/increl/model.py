@@ -147,10 +147,6 @@ class Network(_Frozen):
     def arc_count(self) -> int:
         return len(self.arcs)
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
     def arc_pairs(self) -> frozenset[frozenset[int]]:
         """Unordered endpoint pairs of all arcs, for simplicity checks."""
         return frozenset(frozenset(a) for a in self.arcs)

@@ -226,6 +226,28 @@ def test_trace_stage1_row_4(tmp_path, capsys):
     assert rows[4] == "1,4,0000011,{1},{3},{2 4 5},"
 
 
+def test_a_traced_run_replaces_the_stage_files_an_earlier_run_left(tmp_path, capsys):
+    trace = tmp_path / "trace"
+    assert run_cli(capsys, "run", BRIDGE, GROW1, GROW2, "--trace", str(trace))[0] == 0
+    # Names the writer never prints: no integer K, a K with a leading zero, another suffix.
+    others = {"stage.csv": "a", "stageX.csv": "b", "stage01.csv": "c", "stage2.txt": "d"}
+    for name, text in others.items():
+        (trace / name).write_text(text)
+    before = {path.name: path.read_bytes() for path in trace.iterdir()}
+    # A run refused before stage 0 leaves the directory as it was, or absent.
+    dup = tmp_path / "dup.inc"
+    dup.write_text("arc 1 2 0.5\n")
+    for directory in (trace, tmp_path / "absent"):
+        assert run_cli(capsys, "run", BRIDGE, str(dup), "--trace", str(directory))[0] == 3
+    assert {path.name: path.read_bytes() for path in trace.iterdir()} == before
+    assert not (tmp_path / "absent").exists()
+    # A shorter run: its own two stages, and not the first run's stage2.csv.
+    assert run_cli(capsys, "run", BRIDGE, GROW1, "--trace", str(trace))[0] == 0
+    assert {path.name for path in trace.iterdir()} == {"stage0.csv", "stage1.csv", *others}
+    assert all((trace / name).read_text() == text for name, text in others.items())
+    assert (trace / "stage0.csv").read_text() == (DATA_DIR / "bridge_stage0.csv").read_text()
+
+
 def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
     # Renderings made on a cache miss: one outcome label's set columns.
     rendered = collections.Counter()

@@ -254,7 +254,7 @@ def test_a_label_folded_from_a_vectors_arcs_is_its_partition(seed, data):
         if bit:
             label = label_add_arc(label, ends)
     part = partition_nodes(net, bits)
-    assert len(label) == net.node_count
+    assert len(label) == len(net.nodes)
     assert order.partition(label, {}) == part
     assert order.label(part) == label
     back = order.partition(order.label(part), {})

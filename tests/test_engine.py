@@ -437,7 +437,7 @@ def _reference_expansion(state, expansion, final):
     generated = 0
     parents = state.infeasible
     for mask, partition, index, _ in parents.rows():
-        for combo in counting_vectors(expansion.arc_count, skip_zero=final):
+        for combo in list(counting_vectors(expansion.arc_count))[final:]:
             generated += 1
             extended = mask_bits(mask, state.network.arc_count) + combo
             connected, part = extend_partition_detail(partition, combo, expansion)
@@ -768,7 +768,7 @@ def _staged(net, stages, traced):
             expansion = Expansion.for_network(state.network, specs)
             state, result = run_expansion(state, expansion, k == len(stages), trace=trace)
             results.append(_comparable(result))
-        n = state.network.node_count
+        n = len(state.network.nodes)
         assert len(state.infeasible.order.nodes) == n
         assert {len(label) for _, labels in state.infeasible.kept for label in labels} <= {n}
     results.append(state.reliability.hex())
@@ -979,7 +979,7 @@ def test_an_untraced_final_stage_prices_only_the_children_it_connects(monkeypatc
     connects = {}
     for _, part, _, _ in state.infeasible.rows():
         if part not in connects:
-            combos = counting_vectors(expansion.arc_count, skip_zero=True)
+            combos = list(counting_vectors(expansion.arc_count))[1:]
             connects[part] = sum(extend_partition(part, c, expansion) is None for c in combos)
     counts = [connects[part] for _, part, _, _ in state.infeasible.rows()]
     reliability, _, _ = _reference_expansion(state, expansion, final=True)

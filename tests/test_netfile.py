@@ -10,7 +10,7 @@ BRIDGE_TEXT = (FIXTURE_DIR / "bridge.net").read_text()
 
 def test_parse_bridge_fixture():
     net = parse_network(BRIDGE_TEXT)
-    assert net.node_count == 4
+    assert net.nodes == frozenset({1, 2, 3, 4})
     assert net.arc_count == 5
     assert net.arcs == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
     assert net.probabilities == (0.9,) * 5
@@ -67,7 +67,7 @@ def test_parse_requires_two_nodes():
 def test_parse_allows_arcless_network():
     net = parse_network("nodes 3\n")
     assert net.arc_count == 0
-    assert net.node_count == 3
+    assert net.nodes == frozenset({1, 2, 3})
 
 
 @pytest.mark.parametrize("net_text, inc_text, error, fragment, line, exit_code", VALIDATION_CASES)

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,32 @@ def test_the_benchmark_job_writes_the_bridge_trace_goldens(tmp_path):
     for stage in (0, 1, 2):
         expected = (root / "tests" / "data" / f"bridge_stage{stage}.csv").read_bytes()
         assert (trace / f"stage{stage}.csv").read_bytes() == expected
+
+
+def test_the_readme_library_examples_run_and_print_the_bridge():
+    root = PYPROJECT.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 2
+    # One script, so the second block reads the first one's `net`; a marker line between them.
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", "print('--')\n".join(blocks)],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    first, second = (part.splitlines() for part in done.stdout.split("--\n"))
+    # Stage, reliability, vectors examined and elapsed seconds of each of the bridge's stages.
+    assert [line.split()[0] for line in first] == ["0", "1", "2"]
+    assert [line.split()[2] for line in first] == ["32", "64", "58"]
+    assert abs(float(first[0].split()[1]) - 0.97848) < 1e-12
+    # The first trace row: stage 0's first vector, as the CSV golden prints it.
+    golden = (root / "tests" / "data" / "bridge_stage0.csv").read_text().splitlines()
+    assert second[0] == golden[1]
 
 
 PACKAGE = PYPROJECT.parent / "src" / "increl"
