@@ -78,16 +78,21 @@ class _LabelColumns(dict):
 
     One per stage, rendered on first use: the stage's `LabelOrder` places
     the nodes' names on the label's sides, sorted as `format_nodes` does.
+    Labels that group the middle nodes differently render alike, since
+    the middle set is their union, so equal columns are shared through
+    `shared` and each is held once.
     """
 
     def __init__(self, order: LabelOrder) -> None:
         super().__init__()
         self.split, self.names = order.split, [str(v) for v in sorted(order.nodes)]
+        self.shared: dict[str, str] = {}
 
     def __missing__(self, label: str) -> str:
         source, middle, sink = self.split(label, self.names)
         sets = "},{".join([" ".join(source), " ".join(middle), " ".join(sink)])
-        columns = self[label] = f"{{{sets}}},{'Y' if sink is source else ''}"
+        columns = f"{{{sets}}},{'Y' if sink is source else ''}"
+        columns = self[label] = self.shared.setdefault(columns, columns)
         return columns
 
 

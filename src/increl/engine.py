@@ -56,11 +56,11 @@ stage keeps, as references to the stage's own rows. Every vector
 holding the label reuses the entry: it adds its connecting products
 to the sum, and if it keeps any row it becomes one group of the new
 set. The memo is a dict whose missing key builds the entry, so a group
-maps its children's labels to their entries in C. Kept labels are
-interned by value in one table per stage, so equal ones are one
-object. The vectors are visited in order and each one's rows in
-combination order, so counts, traces and sums are those of the plain
-per-vector loop.
+maps its children's labels to their entries in C. Kept labels, and
+on a traced stage every outcome label, are interned by value in one
+table per stage, so equal ones are one object. The vectors are
+visited in order and each one's rows in combination order, so counts,
+traces and sums are those of the plain per-vector loop.
 
 An untraced final stage only has to know which combinations connect
 the terminals, and that depends only on the partition projected onto
@@ -79,9 +79,7 @@ so tracing adds no object per examined vector.
 
 Reliability is accumulated with compensated (Neumaier) summation in a
 fixed order, so identical inputs produce bit-identical results. The
-cyclic garbage collector is paused inside the stage loops: they allocate
-millions of small objects and form no cycles. The `increl` logger
-gets one debug line per stage.
+`increl` logger gets one debug line per stage.
 
 `run` binds each batch once, all before stage 0 (`_bind`), and runs
 its stage from that binding (`_run_bound`), as `run_expansion` does.
@@ -89,11 +87,9 @@ its stage from that binding (`_run_bound`), as `run_expansion` does.
 
 from __future__ import annotations
 
-import gc
 import sys
 import time
 from array import array
-from contextlib import contextmanager
 from math import prod
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -336,18 +332,6 @@ class _Memo(dict):
         return value
 
 
-@contextmanager
-def _gc_paused():
-    """Disable the cyclic collector, restoring the caller's setting after."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _rows(expansion: Expansion, shift: int) -> Iterator[_Row]:
     """Yield one row per combination of the batch's arcs, in counting order.
 
@@ -396,12 +380,16 @@ def _entry(
 
     `outcomes` holds each row's label, in row order; a row connects the
     terminals exactly when its characters at `s` and `t` are equal. A
-    `traced` stage records them all. A kept row is the row object
-    itself, so an entry adds one reference per kept row and copies none
-    of its parts; the next stage's groups refer to the entry's pair of
-    kept rows and child labels. Every kept label is interned, so equal
-    children of different parent labels are one object.
+    `traced` stage records them all, each interned in `interned`, so
+    equal outcomes of different parent labels are one object. A kept
+    row is the row object itself, so an entry adds one reference per
+    kept row and copies none of its parts; the next stage's groups refer
+    to the entry's pair of kept rows and child labels. Every kept label
+    is interned too, so equal children of different parent labels are
+    one object.
     """
+    if traced:
+        outcomes = tuple(map(interned.setdefault, outcomes, outcomes))
     connecting, kept, labels = [], [], []
     for row, label in zip(rows, outcomes):
         if label[s] == label[t]:
@@ -411,7 +399,7 @@ def _entry(
             kept.append(row)
             labels.append(label)
     pair = (tuple(kept), tuple(labels)) if kept else _NO_KEPT
-    return tuple(outcomes) if traced else (), tuple(connecting), pair
+    return outcomes if traced else (), tuple(connecting), pair
 
 
 def _log_stage(
@@ -478,35 +466,34 @@ def initial_stage(
     bases, groups = retained.bases, retained.kept
     # Each stage-0 vector is a group of its own; groups of one label share one pair.
     singles = _Memo(lambda label: ((_IDENTITY_ROW,), (label,)))
-    partitions = PartitionCache(order)
+    partitions = PartitionCache(order) if trace is not None else None
     label = label_add_nodes("", len(order.nodes))
     stack = [label] * (m + 1)
-    with _gc_paused():
-        for k, bits in enumerate(counting_vectors(m)):
-            # t + 1 for k's lowest set bit t, and 0 for k = 0, the base.
-            low = (k & -k).bit_length()
-            if low:
-                label = label_add_arc(stack[low], ends[low - 1])
-            x = prod(map(getitem, choices, bits))
-            if label[s] == label[t]:
-                # Neumaier's add: every addend and the running sum are
-                # non-negative, so comparing them needs no `abs`.
-                added = total + x
-                if total >= x:
-                    comp += (total - added) + x
-                else:
-                    comp += (x - added) + total
-                total = added
+    for k, bits in enumerate(counting_vectors(m)):
+        # t + 1 for k's lowest set bit t, and 0 for k = 0, the base.
+        low = (k & -k).bit_length()
+        if low:
+            label = label_add_arc(stack[low], ends[low - 1])
+        x = prod(map(getitem, choices, bits))
+        if label[s] == label[t]:
+            # Neumaier's add: every addend and the running sum are
+            # non-negative, so comparing them needs no `abs`.
+            added = total + x
+            if total >= x:
+                comp += (total - added) + x
             else:
-                masks.append(k)
-                probabilities.append(x)
-                bases.append(k + 1)
-                groups.append(singles[label])
-                if len(groups) > max_retained:
-                    raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
-            stack[:low] = [label] * low
-            if trace is not None:
-                trace(TraceBlock(0, k + 1, k + 1, bits, _NO_COMBOS, (label,), partitions))
+                comp += (x - added) + total
+            total = added
+        else:
+            masks.append(k)
+            probabilities.append(x)
+            bases.append(k + 1)
+            groups.append(singles[label])
+            if len(groups) > max_retained:
+                raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
+        stack[:low] = [label] * low
+        if trace is not None:
+            trace(TraceBlock(0, k + 1, k + 1, bits, _NO_COMBOS, (label,), partitions))
     _log_stage(0, 1 << m, len(retained), 0, time.perf_counter() - start)
     return EngineState(net, 0, total, comp, retained)
 
@@ -641,43 +628,40 @@ def _run_bound(
 
     memo = _Memo(projected_entry if projected else new_entry)
     count = 0
-    with _gc_paused():
-        examined = 0
-        for mask, probability, base, (group_rows, labels) in zip(
-            parents.masks, parents.probabilities, parents.bases, parents.kept
-        ):
+    examined = 0
+    for mask, probability, base, (group_rows, labels) in zip(
+        parents.masks, parents.probabilities, parents.bases, parents.kept
+    ):
+        if traced:
+            # The group's vectors extend its mask by their rows' bits.
+            head = mask_bits(mask, shift - len(group_rows[0][1]))
+        children = zip(group_rows, map(memo.__getitem__, labels))
+        for (offset, bits, row_mask, factors), (outcomes, connecting, kept) in children:
+            if projected and not connecting:
+                # Nothing is kept or traced: only a connecting child adds anything.
+                continue
+            p = prod(factors, start=probability)
             if traced:
-                # The group's vectors extend its mask by their rows' bits.
-                head = mask_bits(mask, shift - len(group_rows[0][1]))
-            children = zip(group_rows, map(memo.__getitem__, labels))
-            for (offset, bits, row_mask, factors), (outcomes, connecting, kept) in children:
-                if projected and not connecting:
-                    # Nothing is kept or traced: only a connecting child adds anything.
-                    continue
-                p = prod(factors, start=probability)
-                if traced:
-                    block = (stage, base + offset, examined + 1, head + bits, stage_combos)
-                    trace(TraceBlock(*block, outcomes, partitions))
-                # Neumaier's add, as stage 0 writes it.
-                for f in connecting:
-                    x = prod(f, start=p)
-                    added = total + x
-                    if total >= x:
-                        comp += (total - added) + x
-                    else:
-                        comp += (x - added) + total
-                    total = added
-                if kept[1]:
-                    masks.append(mask | row_mask)
-                    probabilities.append(p)
-                    bases.append(examined)
-                    groups.append(kept)
-                    count += len(kept[1])
-                    if count > max_retained:
-                        raise CapExceededError(
-                            f"retained set exceeds cap of {max_retained} vectors"
-                        )
-                examined += combos
+                block = (stage, base + offset, examined + 1, head + bits, stage_combos)
+                trace(TraceBlock(*block, outcomes, partitions))
+            # Neumaier's add, as stage 0 writes it.
+            for f in connecting:
+                x = prod(f, start=p)
+                added = total + x
+                if total >= x:
+                    comp += (total - added) + x
+                else:
+                    comp += (x - added) + total
+                total = added
+            if kept[1]:
+                masks.append(mask | row_mask)
+                probabilities.append(p)
+                bases.append(examined)
+                groups.append(kept)
+                count += len(kept[1])
+                if count > max_retained:
+                    raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
+            examined += combos
 
     parent_count = len(parents)
     partitions_extended = len(memo)

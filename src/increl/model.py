@@ -10,6 +10,7 @@ built at one stage stays valid as a prefix at every later stage.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Iterable, Sequence
 
 # One bit per arc, in global arc order. Bit k describes arc k+1.
@@ -42,8 +43,17 @@ def _check_probability(p: float) -> float:
     return p
 
 
-def _check_arc(u: int, v: int, pairs: set[frozenset[int]]) -> None:
-    """Reject a node id below 1, a self-loop or a pair already in `pairs`, then record it."""
+def _check_arc(u: int, v: int, pairs: set[frozenset[int]]) -> tuple[int, int]:
+    """The arc (u, v) as ints, recorded in `pairs`.
+
+    Rejects a node id that is not an integer (what `operator.index`
+    refuses, so 1.7 is not truncated to 1), an id below 1, a self-loop
+    or a pair already in `pairs`.
+    """
+    try:
+        u, v = index(u), index(v)
+    except TypeError:
+        raise ValueError(f"node ids must be integers, got ({u!r}, {v!r})") from None
     if u < 1 or v < 1:
         raise ValueError(f"node ids must be positive, got ({u}, {v})")
     if u == v:
@@ -52,6 +62,7 @@ def _check_arc(u: int, v: int, pairs: set[frozenset[int]]) -> None:
     if pair in pairs:
         raise ValueError(f"parallel arc between {u} and {v}")
     pairs.add(pair)
+    return u, v
 
 
 def _check_length(bits: Sequence[int], net: Network) -> None:
@@ -122,9 +133,10 @@ class Network(_Frozen):
         source: int,
         sink: int,
     ) -> None:
+        seen: set[frozenset[int]] = set()
         self._set(
             nodes=frozenset(nodes),
-            arcs=tuple((int(u), int(v)) for u, v in arcs),
+            arcs=tuple(_check_arc(u, v, seen) for u, v in arcs),
             probabilities=tuple(_check_probability(p) for p in probabilities),
             source=source,
             sink=sink,
@@ -137,9 +149,7 @@ class Network(_Frozen):
             raise ValueError("source and sink must be nodes of the network")
         if self.source == self.sink:
             raise ValueError("source and sink must be distinct")
-        seen: set[frozenset[int]] = set()
         for u, v in self.arcs:
-            _check_arc(u, v, seen)
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"arc ({u}, {v}) references an unknown node")
 
@@ -179,7 +189,8 @@ class Expansion(_Frozen):
 
         Raises ExpansionError where `_check_arc` or `_check_probability`,
         which `Network` and the file parser share, refuse an arc: a node id
-        below 1, a self-loop, a repeated pair, or a probability outside [0, 1].
+        that is not an integer or is below 1, a self-loop, a repeated pair,
+        or a probability outside [0, 1].
         """
         specs = tuple(specs)
         if not specs:
@@ -188,13 +199,11 @@ class Expansion(_Frozen):
         probs: list[float] = []
         pairs = set(net.arc_pairs())
         for u, v, p in specs:
-            u, v = int(u), int(v)
             try:
-                _check_arc(u, v, pairs)
+                arcs.append(_check_arc(u, v, pairs))
                 probs.append(_check_probability(p))
             except ValueError as exc:
                 raise ExpansionError(str(exc)) from None
-            arcs.append((u, v))
         touched = {w for a in arcs for w in a}
         return cls(tuple(arcs), tuple(probs), frozenset(touched - net.nodes))
 

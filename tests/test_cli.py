@@ -297,6 +297,24 @@ def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):
         _assert_plain_trace(tmp_path / "both" / f"stage{k}.csv", runs[0] + runs[1], k)
 
 
+def test_a_traced_stage_holds_each_distinct_label_and_column_string_once():
+    blocks = []
+    engine.run(grid_3x3(), GRID_STAGES, trace=blocks.append)
+    for stage in range(1, len(GRID_STAGES) + 1):
+        traced = [block for block in blocks if block.stage == stage]
+        labels = [label for block in traced for label in block.labels]
+        # Equal outcome labels, across all of the stage's blocks, are one object.
+        by_value = {}
+        assert all(by_value.setdefault(label, label) is label for label in labels)
+        assert len(by_value) < len(labels)
+        # And the columns a trace directory renders for them, one per distinct string.
+        columns = cli._LabelColumns(traced[0].partitions.order)
+        by_text = {}
+        texts = [columns[label] for label in labels]
+        assert all(by_text.setdefault(text, text) is text for text in texts)
+        assert len(by_text) < len(by_value)
+
+
 def _assert_plain_trace(path, blocks, stage):
     """`path` holds, byte for byte, the stage's rows as `format_trace_row` renders them."""
     rows = [row for block in blocks if block.stage == stage for row in block.rows()]

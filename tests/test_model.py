@@ -163,6 +163,19 @@ def test_expansion_rejects_node_id_zero():
         Network(frozenset({0, 1, 2}), ((0, 1), (1, 2)), (0.9, 0.9), 0, 2)
 
 
+def test_network_refuses_a_non_integer_node_id():
+    # Truncated, (1.9, 2.2) would be the arc (1, 2).
+    with pytest.raises(ValueError, match=r"node ids must be integers, got \(1\.9, 2\.2\)"):
+        Network(frozenset({1, 2}), ((1.9, 2.2),), (0.5,), 1, 2)
+
+
+def test_expansion_refuses_a_non_integer_node_id():
+    net = Network(frozenset({1, 2}), ((1, 2),), (0.5,), 1, 2)
+    # Truncated, (1.7, 3) would be the arc (1, 3).
+    with pytest.raises(ExpansionError, match=r"node ids must be integers, got \(1\.7, 3\)"):
+        Expansion.for_network(net, [(1.7, 3, 0.5)])
+
+
 def test_expansion_derives_new_nodes():
     expansion = Expansion.for_network(bridge(), ((2, 5, 0.5), (4, 5, 0.5)))
     assert expansion.new_nodes == frozenset({5})
