@@ -78,11 +78,14 @@ outcome labels, and the stage's shared combinations and label cache,
 so tracing adds no object per examined vector.
 
 Reliability is accumulated with compensated (Neumaier) summation in a
-fixed order, so identical inputs produce bit-identical results. The
-`increl` logger gets one debug line per stage.
+fixed order, so identical inputs produce bit-identical results.
 
-`run` binds each batch once, all before stage 0 (`_bind`), and runs
-its stage from that binding (`_run_bound`), as `run_expansion` does.
+Two cores run the stages: `_initial` stage 0 and `_run_bound` a growth
+stage on a bound batch. `run` binds each batch once, all before stage 0
+(`_bind`), then calls the two cores; `initial_stage` and `run_expansion`
+each wrap one. Every stage ends in `_close`, which alone builds its
+`StageResult` and its one debug line on the `increl` logger, from one
+clock reading.
 """
 
 from __future__ import annotations
@@ -229,6 +232,8 @@ class StageResult(NamedTuple):
     parent partitions. An untraced final stage runs its combinations
     against the partitions' projections, fewer still, but counts the
     distinct parent partitions all the same. It is 0 at stage 0.
+    `elapsed_s` is the stage's wall time after binding, the one reading
+    `_close` takes for both the row and the stage's debug line.
     """
 
     stage_index: int
@@ -402,25 +407,30 @@ def _entry(
     return outcomes if traced else (), tuple(connecting), pair
 
 
-def _log_stage(
-    stage: int, examined: int, retained: int, partitions_extended: int, elapsed_s: float
-) -> None:
-    """Emit one debug line for a stage on the `increl` logger.
+def _close(
+    state: EngineState, count: int, examined: int, extended: int, start: float
+) -> tuple[EngineState, StageResult]:
+    """End a stage begun at `start`: its state, its row and one debug line.
 
+    One clock reading gives the row's `elapsed_s` and the line's seconds.
     Importing `logging` adds several milliseconds to every start-up, so
     the engine leaves it to the program: one that has not imported it
     has configured no handler that would show a debug record.
     """
+    elapsed = time.perf_counter() - start
+    stage = state.stage_index
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger("increl").debug(
             "stage %d: examined %d, retained %d, partitions extended %d, %.3f s",
             stage,
             examined,
-            retained,
-            partitions_extended,
-            elapsed_s,
+            count,
+            extended,
+            elapsed,
         )
+    arcs = state.network.arc_count
+    return state, StageResult(stage, arcs, state.reliability, count, examined, elapsed, extended)
 
 
 def initial_stage(
@@ -428,6 +438,16 @@ def initial_stage(
     max_retained: int = DEFAULT_MAX_RETAINED,
     trace: TraceFn | None = None,
 ) -> EngineState:
+    """Stage 0 as `run` runs it (`_initial`), returned as its state alone.
+
+    Its debug line is logged all the same; `run` returns its row.
+    """
+    return _initial(net, max_retained, trace)[0]
+
+
+def _initial(
+    net: Network, max_retained: int, trace: TraceFn | None
+) -> tuple[EngineState, StageResult]:
     """Full enumeration of the original network, one `label_add_arc` step per vector.
 
     Visits all 2**m vectors in counting order, as `counting_vectors`
@@ -449,6 +469,9 @@ def initial_stage(
     keeps stepping, so a traced connected vector shows its full
     components, as `partition_nodes` gives them. `label_add_arc` goes
     through this module's globals so instrumentation can rebind it.
+
+    The one owner of stage 0's caps: 30 arcs (`DEFAULT_MAX_ARCS`) and
+    `max_retained` retained vectors. `_close` ends the stage.
     """
     start = time.perf_counter()
     m = net.arc_count
@@ -494,8 +517,7 @@ def initial_stage(
         stack[:low] = [label] * low
         if trace is not None:
             trace(TraceBlock(0, k + 1, k + 1, bits, _NO_COMBOS, (label,), partitions))
-    _log_stage(0, 1 << m, len(retained), 0, time.perf_counter() - start)
-    return EngineState(net, 0, total, comp, retained)
+    return _close(EngineState(net, 0, total, comp, retained), len(groups), 1 << m, 0, start)
 
 
 def _bind(
@@ -579,7 +601,8 @@ def _run_bound(
 
     `trace`, if given, gets one `TraceBlock` per retained vector, in
     generation order, with its outcome labels and the stage's one
-    label -> `NodePartition` cache. `elapsed_s` starts after binding.
+    label -> `NodePartition` cache. `elapsed_s` starts after binding;
+    `_close` ends the stage.
     """
     start = time.perf_counter()
     parents = state.infeasible
@@ -663,33 +686,8 @@ def _run_bound(
                     raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")
             examined += combos
 
-    parent_count = len(parents)
-    partitions_extended = len(memo)
-    new_state = EngineState(
-        network=new_net,
-        stage_index=stage,
-        reliability_sum=total,
-        reliability_comp=comp,
-        infeasible=retained,
-        finalized=final,
-    )
-    result = StageResult(
-        stage_index=stage,
-        arc_count=new_net.arc_count,
-        reliability=new_state.reliability,
-        infeasible_count=count,
-        vectors_generated=parent_count * combos,
-        elapsed_s=time.perf_counter() - start,
-        partitions_extended=partitions_extended,
-    )
-    _log_stage(
-        stage,
-        result.vectors_generated,
-        result.infeasible_count,
-        partitions_extended,
-        result.elapsed_s,
-    )
-    return new_state, result
+    new_state = EngineState(new_net, stage, total, comp, retained, final)
+    return _close(new_state, count, len(parents) * combos, len(memo), start)
 
 
 def run(
@@ -705,10 +703,12 @@ def run(
     initial enumeration. Before stage 0 starts, every batch is bound
     once, to the network as grown by the batches before it
     (`Expansion.for_network`, `_bind`), so an input that will be refused
-    does no stage work and hands no block to `trace`; each growth stage
-    runs from its binding (`_run_bound`). Each returned row carries the
-    exact reliability of the network as grown up to that stage and the
-    wall time of the stage's own work (binding a batch is not counted).
+    does no stage work and hands no block to `trace`. Then stage 0 runs
+    through `_initial` and each growth stage from its binding through
+    `_run_bound`, both read from this module's globals, so instrumentation
+    can rebind them. Each core returns its stage's row from `_close`:
+    the exact reliability of the network as grown up to that stage and
+    the wall time of the stage's own work (binding a batch is not counted).
     """
     plan = []
     grown, order = net, LabelOrder(sorted(net.nodes), net.source, net.sink)
@@ -717,18 +717,8 @@ def run(
         final = k == len(stages) - 1
         grown, order = _bind(grown, order, expansion, final)
         plan.append((expansion, grown, order, final))
-    start = time.perf_counter()
-    state = initial_stage(net, max_retained=max_retained, trace=trace)
-    results = [
-        StageResult(
-            stage_index=0,
-            arc_count=net.arc_count,
-            reliability=state.reliability,
-            infeasible_count=len(state.infeasible),
-            vectors_generated=1 << net.arc_count,
-            elapsed_s=time.perf_counter() - start,
-        )
-    ]
+    state, result = _initial(net, max_retained, trace)
+    results = [result]
     for bound in plan:
         state, result = _run_bound(state, *bound, max_retained, trace)
         results.append(result)

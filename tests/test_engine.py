@@ -3,11 +3,13 @@
 import collections
 import gc
 import inspect
+import itertools
 import logging
 import math
 import random
 import time
 import tracemalloc
+import types
 from array import array
 
 import pytest
@@ -877,7 +879,7 @@ def test_run_binds_and_checks_every_batch_before_stage_zero(monkeypatch):
     def no_stage(*args, **kwargs):
         raise AssertionError("stage 0 ran before every batch was checked")
 
-    monkeypatch.setattr(engine, "initial_stage", no_stage)
+    monkeypatch.setattr(engine, "_initial", no_stage)
     first, second = bridge_stages()
     limit = connectivity.MAX_NODES
     # A network, the batches before the refused one, the refused batch,
@@ -1104,15 +1106,36 @@ def test_the_default_retained_cap_trips_before_memory_runs_out():
         assert default == engine.DEFAULT_MAX_RETAINED
 
 
-def test_the_increl_logger_reports_each_stage_once(caplog):
+def test_the_increl_logger_reports_each_stage_once(caplog, monkeypatch):
+    # A clock that steps 1.0 s per reading: a stage that reads it once to
+    # start and once to close takes 1.000 s, on its row and on its line.
+    clock = itertools.count(0.0, 1.0)
+    monkeypatch.setattr(engine, "time", types.SimpleNamespace(perf_counter=clock.__next__))
     caplog.set_level(logging.DEBUG, logger="increl")
-    run(bridge(0.9), bridge_stages())
-    lines = [r.getMessage() for r in caplog.records if r.name == "increl"]
+
+    def logged():
+        lines = [r.getMessage() for r in caplog.records if r.name == "increl"]
+        caplog.clear()
+        return lines
+
+    rows = run(bridge(0.9), bridge_stages())
+    lines = logged()
     assert len(lines) == 3
     assert lines[0].startswith("stage 0: examined 32, retained 16, partitions extended 0, ")
     assert lines[1].startswith("stage 1: examined 64, retained 58, partitions extended 10, ")
     assert lines[2].startswith("stage 2: examined 58, retained 0, partitions extended 27, ")
-    assert all(line.endswith(" s") for line in lines)
+    assert [line.split(", ")[-1] for line in lines] == [f"{r.elapsed_s:.3f} s" for r in rows]
+    assert [r.elapsed_s for r in rows] == [1.0] * 3
+    # Driven by hand, each stage logs the same one line; the growth rows match theirs.
+    state = initial_stage(bridge(0.9))
+    assert logged() == lines[:1]
+    by_hand = []
+    for k, specs in enumerate(bridge_stages()):
+        expansion = Expansion.for_network(state.network, specs)
+        state, row = run_expansion(state, expansion, final=k == 1)
+        by_hand.append(row)
+        assert logged() == [lines[k + 1]]
+    assert [f"{r.elapsed_s:.3f} s" for r in by_hand] == [line.split(", ")[-1] for line in lines[1:]]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

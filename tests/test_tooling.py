@@ -7,6 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from increl import Expansion, engine, initial_stage, run, run_expansion
+from helpers import bridge, bridge_stages
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 _SUITE = '''
@@ -81,6 +84,31 @@ def test_the_benchmark_job_writes_the_bridge_trace_goldens(tmp_path):
     for stage in (0, 1, 2):
         expected = (root / "tests" / "data" / f"bridge_stage{stage}.csv").read_bytes()
         assert (trace / f"stage{stage}.csv").read_bytes() == expected
+
+
+def test_run_reaches_both_stage_bodies_through_the_names_the_benchmark_can_span(monkeypatch):
+    # `bench/layers.py` spans a stage by rebinding its function in `engine`:
+    # `run`, `initial_stage` and `run_expansion` must call the stage bodies by those names.
+    calls = []
+
+    def counted(name):
+        body = getattr(engine, name)
+
+        def call(*args):
+            calls.append(name)
+            return body(*args)
+
+        return call
+
+    for name in ("_initial", "_run_bound"):
+        monkeypatch.setattr(engine, name, counted(name))
+    run(bridge(0.9), bridge_stages())
+    assert calls == ["_initial", "_run_bound", "_run_bound"]
+    calls.clear()
+    state = initial_stage(bridge(0.9))
+    assert calls == ["_initial"]
+    run_expansion(state, Expansion.for_network(state.network, bridge_stages()[0]), final=False)
+    assert calls == ["_initial", "_run_bound"]
 
 
 def test_the_readme_library_examples_run_and_print_the_bridge():
