@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import increl
-from increl.connectivity import LabelOrder, NodePartition, PartitionCache
+from increl.connectivity import LabelOrder, PartitionCache
 from increl.engine import StageResult, TraceBlock, TraceRow, full_enumeration_counts, run
 from increl.model import Bits, CapExceededError, ExpansionError, ParseError
 from increl.netfile import parse_expansion_specs, parse_network
@@ -47,17 +47,6 @@ def format_nodes(nodes: Iterable[int]) -> str:
 TRACE_HEADER = "i,j,vector,source_set,middle_set,sink_set,connected"
 
 
-def _format_sets(part: NodePartition) -> str:
-    """The ``source_set,middle_set,sink_set`` columns of a trace row."""
-    return ",".join(
-        (
-            format_nodes(part.source_side),
-            format_nodes(part.middle_union()),
-            format_nodes(part.sink_side),
-        )
-    )
-
-
 # Renders a 0/1 vector in one C-level pass: bytes((0, 1)) -> "01".
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -67,10 +56,9 @@ def _bit_string(bits: Bits) -> str:
 
 
 def format_trace_row(row: TraceRow) -> str:
-    return (
-        f"{row.parent_index},{row.index},{_bit_string(row.bits)},"
-        f"{_format_sets(row.partition)},{'Y' if row.connected else ''}"
-    )
+    part, connected = row.partition, "Y" if row.connected else ""
+    sets = ",".join(map(format_nodes, (part.source_side, part.middle_union(), part.sink_side)))
+    return f"{row.parent_index},{row.index},{_bit_string(row.bits)},{sets},{connected}"
 
 
 class _LabelColumns(dict):
@@ -143,6 +131,10 @@ class TraceDirectory:
         self._partitions, self._columns, self._tails = None, {}, ()
 
 
+# A report row's fields as JSON names them; CSV prints all but the last.
+_REPORT_KEYS = "stage arcs vectors naive retained reliability elapsed_s partitions_extended".split()
+
+
 def build_run_report(
     results: Sequence[StageResult],
     naive: Sequence[int],
@@ -150,58 +142,37 @@ def build_run_report(
     fmt: str = "human",
     show_naive: bool = False,
 ) -> str:
-    """Render the per-stage report; pure so goldens can pin its bytes."""
-    total_vectors = sum(r.vectors_generated for r in results)
-    total_naive = sum(naive)
-    final_reliability = round12(results[-1].reliability)
+    """Render the per-stage report; pure so goldens can pin its bytes.
 
+    Each stage is read once into a row of `_REPORT_KEYS` that every format renders.
+    """
+    rows = [
+        (r.stage_index, r.arc_count, r.vectors_generated, n, r.infeasible_count,
+         round12(r.reliability), e, r.partitions_extended)
+        for r, n, e in zip(results, naive, elapsed)
+    ]
+    total_vectors, total_naive = sum(row[2] for row in rows), sum(naive)
+    reliability = rows[-1][5]
     if fmt == "json":
-        payload = {
-            "stages": [
-                {
-                    "stage": r.stage_index,
-                    "arcs": r.arc_count,
-                    "vectors": r.vectors_generated,
-                    "naive": naive[k],
-                    "retained": r.infeasible_count,
-                    "reliability": round12(r.reliability),
-                    "elapsed_s": round(elapsed[k], 6),
-                    "partitions_extended": r.partitions_extended,
-                }
-                for k, r in enumerate(results)
-            ],
-            "totals": {"vectors": total_vectors, "naive": total_naive},
-            "reliability": final_reliability,
-        }
+        stages = [dict(zip(_REPORT_KEYS, row), elapsed_s=round(row[6], 6)) for row in rows]
+        totals = {"vectors": total_vectors, "naive": total_naive}
+        payload = {"stages": stages, "totals": totals, "reliability": reliability}
         return json.dumps(payload, indent=2) + "\n"
-
     if fmt == "csv":
-        lines = ["stage,arcs,vectors,naive,retained,reliability,elapsed_s"]
-        for k, r in enumerate(results):
-            lines.append(
-                f"{r.stage_index},{r.arc_count},{r.vectors_generated},{naive[k]},"
-                f"{r.infeasible_count},{round12(r.reliability):.12g},{elapsed[k]:.6f}"
-            )
+        lines = [",".join(_REPORT_KEYS[:7])]
+        for k, arcs, vectors, n, kept, rel, e, _ in rows:
+            lines.append(f"{k},{arcs},{vectors},{n},{kept},{rel:.12g},{e:.6f}")
         lines.append(f"total,,{total_vectors},{total_naive},,,")
-        return "\n".join(lines) + "\n"
+    else:
+        # The first four columns of a line; the naive one only with `show_naive`.
+        def line(k: object, arcs: object, vectors: object, n: object, tail: str = "") -> str:
+            return f"{k:>5}  {arcs:>4}  {vectors:>8}" + (f"  {n:>10}" if show_naive else "") + tail
 
-    lines = []
-    header = f"{'stage':>5}  {'arcs':>4}  {'vectors':>8}"
-    if show_naive:
-        header += f"  {'naive':>10}"
-    header += f"  {'retained':>9}  {'reliability':<16}  {'time':>8}"
-    lines.append(header)
-    for k, r in enumerate(results):
-        line = f"{r.stage_index:>5}  {r.arc_count:>4}  {r.vectors_generated:>8}"
-        if show_naive:
-            line += f"  {naive[k]:>10}"
-        line += f"  {r.infeasible_count:>9}  {round12(r.reliability):<16.12g}  {elapsed[k]:>7.3f}s"
-        lines.append(line)
-    total_line = f"{'total':>5}  {'':>4}  {total_vectors:>8}"
-    if show_naive:
-        total_line += f"  {total_naive:>10}"
-    lines.append(total_line)
-    lines.append(f"reliability: {final_reliability:.12g}")
+        tail = f"  {'retained':>9}  {'reliability':<16}  {'time':>8}"
+        lines = [line("stage", "arcs", "vectors", "naive", tail)]
+        for k, arcs, vectors, n, kept, rel, e, _ in rows:
+            lines.append(line(k, arcs, vectors, n, f"  {kept:>9}  {rel:<16.12g}  {e:>7.3f}s"))
+        lines += [line("total", "", total_vectors, total_naive), f"reliability: {reliability:.12g}"]
     return "\n".join(lines) + "\n"
 
 

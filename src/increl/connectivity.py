@@ -102,18 +102,23 @@ class LabelOrder:
             raise ExpansionError(f"arc endpoint {missing.args[0]} is not a known node") from None
 
     def label(self, partition: NodePartition) -> str:
-        """The label of `partition`, which must cover exactly this order's nodes.
+        """The label of `partition`, whose components must cover this order's nodes once.
 
-        `ValueError` if it does not, or if its sides miss the terminals.
+        `ValueError` if they do not, or if its sides miss the terminals.
+        When the terminals connect, the shared side counts once.
         """
-        if self.source not in partition.source_side or self.sink not in partition.sink_side:
+        source_side, sink_side, middle = partition
+        if self.source not in source_side or self.sink not in sink_side:
             raise ValueError(
                 f"a partition over terminals {self.source} and {self.sink} must hold "
                 "them on its source and sink sides"
             )
+        comps = [source_side, *middle]
+        if sink_side != source_side:
+            comps.append(sink_side)
         position = self.position
         chars = [""] * len(position)
-        for comp in (partition.source_side, partition.sink_side, *partition.middle):
+        for comp in comps:
             try:
                 places = [position[v] for v in comp]
             except KeyError as missing:
@@ -122,8 +127,8 @@ class LabelOrder:
             for i in places:
                 chars[i] = char
         label = "".join(chars)
-        if len(label) != len(chars):
-            raise ValueError("the partition does not cover every node of the order")
+        if len(label) != len(chars) or sum(map(len, comps)) != len(chars):
+            raise ValueError("the partition does not cover every node of the order once")
         return label
 
     def partition(self, label: str, table: dict) -> NodePartition:
@@ -312,7 +317,7 @@ def extend_partition_detail(
     comps = (partition.source_side, partition.sink_side, *partition.middle)
     # Any member of a side names its terminal.
     source, sink = next(iter(partition.source_side)), next(iter(partition.sink_side))
-    order = LabelOrder(sorted(v for comp in comps for v in comp), source, sink)
+    order = LabelOrder(sorted({v for comp in comps for v in comp}), source, sink)
     label = label_add_nodes(order.label(partition), len(expansion.new_nodes))
     order = order.grown(expansion.new_nodes)
     s, t = order.s, order.t

@@ -43,19 +43,28 @@ def _check_probability(p: float) -> float:
     return p
 
 
-def _check_arc(u: int, v: int, pairs: set[frozenset[int]]) -> tuple[int, int]:
-    """The arc (u, v) as ints, recorded in `pairs`.
+def _node_ids(*ids: object) -> tuple[int, ...]:
+    """`ids` as ints: the one rule for every node id, an arc's end or not.
 
-    Rejects a node id that is not an integer (what `operator.index`
-    refuses, so 1.7 is not truncated to 1), an id below 1, a self-loop
-    or a pair already in `pairs`.
+    Each must be an integer (what `operator.index` accepts, so 1.7 is
+    not truncated to 1) and at least 1. A refusal names all of `ids`.
     """
     try:
-        u, v = index(u), index(v)
+        ints = tuple(map(index, ids))
     except TypeError:
-        raise ValueError(f"node ids must be integers, got ({u!r}, {v!r})") from None
-    if u < 1 or v < 1:
-        raise ValueError(f"node ids must be positive, got ({u}, {v})")
+        raise ValueError(f"node ids must be integers, got ({', '.join(map(repr, ids))})") from None
+    if min(ints) < 1:
+        raise ValueError(f"node ids must be positive, got ({', '.join(map(str, ints))})")
+    return ints
+
+
+def _check_arc(u: int, v: int, pairs: set[frozenset[int]]) -> tuple[int, int]:
+    """The arc (u, v) as ints by `_node_ids`, recorded in `pairs`.
+
+    Rejects a node id `_node_ids` refuses, a self-loop or a pair already
+    in `pairs`.
+    """
+    u, v = _node_ids(u, v)
     if u == v:
         raise ValueError(f"self-loop at node {u}")
     pair = frozenset((u, v))
@@ -114,8 +123,9 @@ class Network(_Frozen):
     """Undirected simple graph with one working probability per arc.
 
     `nodes` holds every node id known so far, including isolated ones.
-    Arc ids are implicit: arc k is ``arcs[k-1]``, and its probability is
-    ``probabilities[k-1]``.
+    Every node id, terminals and arc ends too, is an int that
+    `_node_ids` accepts. Arc ids are implicit: arc k is ``arcs[k-1]``,
+    and its probability is ``probabilities[k-1]``.
     """
 
     __slots__ = ("nodes", "arcs", "probabilities", "source", "sink")
@@ -134,9 +144,12 @@ class Network(_Frozen):
         sink: int,
     ) -> None:
         seen: set[frozenset[int]] = set()
+        # Arcs first, so that a bad arc is named as its pair (u, v).
+        arcs = tuple(_check_arc(u, v, seen) for u, v in arcs)
+        source, sink = _node_ids(source, sink)
         self._set(
-            nodes=frozenset(nodes),
-            arcs=tuple(_check_arc(u, v, seen) for u, v in arcs),
+            nodes=frozenset(_node_ids(v)[0] for v in nodes),
+            arcs=arcs,
             probabilities=tuple(_check_probability(p) for p in probabilities),
             source=source,
             sink=sink,
@@ -156,10 +169,6 @@ class Network(_Frozen):
     @property
     def arc_count(self) -> int:
         return len(self.arcs)
-
-    def arc_pairs(self) -> frozenset[frozenset[int]]:
-        """Unordered endpoint pairs of all arcs, for simplicity checks."""
-        return frozenset(frozenset(a) for a in self.arcs)
 
 
 class Expansion(_Frozen):
@@ -197,7 +206,7 @@ class Expansion(_Frozen):
             raise ExpansionError("expansion must add at least one arc")
         arcs: list[tuple[int, int]] = []
         probs: list[float] = []
-        pairs = set(net.arc_pairs())
+        pairs = {frozenset(a) for a in net.arcs}
         for u, v, p in specs:
             try:
                 arcs.append(_check_arc(u, v, pairs))

@@ -531,21 +531,88 @@ def test_output_stable_across_runs(capsys, tmp_path):
     assert sorted(runs[0][1]) == ["stage0.csv", "stage1.csv", "stage2.csv"]
 
 
-def test_report_builder_bytes_are_pinned():
-    results = [
-        StageResult(0, 5, 0.97848, 16, 32),
-        StageResult(1, 7, 0.9870822, 58, 64),
-        StageResult(2, 8, 0.98872974, 0, 58),
-    ]
-    report = build_run_report(results, [32, 128, 256], [0.001, 0.002, 0.003], "human", True)
-    assert report == (
+_PINNED_REPORTS = {
+    ("human", False): (
+        "stage  arcs   vectors   retained  reliability           time\n"
+        "    0     5        32         16  0.97848             0.001s\n"
+        "    1     7        64         58  0.9870822           0.002s\n"
+        "    2     8        58          0  0.98872974          0.003s\n"
+        "total             154\n"
+        "reliability: 0.98872974\n"
+    ),
+    ("human", True): (
         "stage  arcs   vectors       naive   retained  reliability           time\n"
         "    0     5        32          32         16  0.97848             0.001s\n"
         "    1     7        64         128         58  0.9870822           0.002s\n"
         "    2     8        58         256          0  0.98872974          0.003s\n"
         "total             154         416\n"
         "reliability: 0.98872974\n"
-    )
+    ),
+    # CSV prints the naive column with or without the flag.
+    ("csv", False): (
+        "stage,arcs,vectors,naive,retained,reliability,elapsed_s\n"
+        "0,5,32,32,16,0.97848,0.001235\n"
+        "1,7,64,128,58,0.9870822,0.002000\n"
+        "2,8,58,256,0,0.98872974,0.003000\n"
+        "total,,154,416,,,\n"
+    ),
+    ("json", False): (
+        '{\n'
+        '  "stages": [\n'
+        '    {\n'
+        '      "stage": 0,\n'
+        '      "arcs": 5,\n'
+        '      "vectors": 32,\n'
+        '      "naive": 32,\n'
+        '      "retained": 16,\n'
+        '      "reliability": 0.97848,\n'
+        '      "elapsed_s": 0.001235,\n'
+        '      "partitions_extended": 0\n'
+        '    },\n'
+        '    {\n'
+        '      "stage": 1,\n'
+        '      "arcs": 7,\n'
+        '      "vectors": 64,\n'
+        '      "naive": 128,\n'
+        '      "retained": 58,\n'
+        '      "reliability": 0.9870822,\n'
+        '      "elapsed_s": 0.002,\n'
+        '      "partitions_extended": 10\n'
+        '    },\n'
+        '    {\n'
+        '      "stage": 2,\n'
+        '      "arcs": 8,\n'
+        '      "vectors": 58,\n'
+        '      "naive": 256,\n'
+        '      "retained": 0,\n'
+        '      "reliability": 0.98872974,\n'
+        '      "elapsed_s": 0.003,\n'
+        '      "partitions_extended": 27\n'
+        '    }\n'
+        '  ],\n'
+        '  "totals": {\n'
+        '    "vectors": 154,\n'
+        '    "naive": 416\n'
+        '  },\n'
+        '  "reliability": 0.98872974\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, show_naive", list(_PINNED_REPORTS), ids=["human", "human-naive", "csv", "json"]
+)
+def test_report_builder_bytes_are_pinned(fmt, show_naive):
+    results = [
+        StageResult(0, 5, 0.97848, 16, 32),
+        StageResult(1, 7, 0.9870822, 58, 64, partitions_extended=10),
+        StageResult(2, 8, 0.98872974, 0, 58, partitions_extended=27),
+    ]
+    # Stage 0's time shows how each format rounds it.
+    elapsed = [0.0012345678, 0.002, 0.003]
+    report = build_run_report(results, [32, 128, 256], elapsed, fmt, show_naive)
+    assert report == _PINNED_REPORTS[fmt, show_naive]
 
 
 def test_version(capsys):

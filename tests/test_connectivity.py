@@ -232,6 +232,15 @@ def test_partition_label_names_a_node_outside_the_order():
     swapped = NodePartition(frozenset({2}), frozenset({3}), (frozenset({1}),))
     with pytest.raises(ValueError, match="terminals 1 and 3"):
         order.label(swapped)
+    # Node 2 sits in two components; the label once named another partition.
+    overlapping = NodePartition(frozenset({1, 2}), frozenset({3}), (frozenset({2}),))
+    with pytest.raises(ValueError, match="cover"):
+        order.label(overlapping)
+    with pytest.raises(ValueError, match="cover"):
+        extend_partition(overlapping, (1,), Expansion(((2, 4),), (0.5,), frozenset({4})))
+    # Terminals that share a component are one side, counted once.
+    joined = NodePartition(frozenset({1, 2, 3}), frozenset({3, 2, 1}), ())
+    assert order.label(joined) == "\x00\x00\x00"
 
 
 def test_an_order_holds_at_most_one_node_per_code_point():

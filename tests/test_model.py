@@ -161,12 +161,25 @@ def test_expansion_rejects_node_id_zero():
     # expansion would refuse.
     with pytest.raises(ValueError, match="node ids must be positive, got \\(0, 1\\)"):
         Network(frozenset({0, 1, 2}), ((0, 1), (1, 2)), (0.9, 0.9), 0, 2)
+    # So do an isolated node and a terminal, and nodes are stored as ints.
+    with pytest.raises(ValueError, match=r"node ids must be positive, got \(0, 2\)"):
+        Network({0, 1, 2}, [(1, 2)], [0.5], 0, 2)
+    with pytest.raises(ValueError, match=r"node ids must be positive, got \(0\)"):
+        Network({0, 1, 2}, [(1, 2)], [0.5], 1, 2)
+    net = Network({True, 2, 3}, [(1, 2)], [0.5], True, 2)
+    assert [type(v) for v in (*net.nodes, net.source, net.sink)] == [int] * 5
 
 
 def test_network_refuses_a_non_integer_node_id():
     # Truncated, (1.9, 2.2) would be the arc (1, 2).
     with pytest.raises(ValueError, match=r"node ids must be integers, got \(1\.9, 2\.2\)"):
         Network(frozenset({1, 2}), ((1.9, 2.2),), (0.5,), 1, 2)
+    # So is one that no arc touches; an unordered id once escaped `run` as a TypeError.
+    for stray, shown in ((2.5, r"2\.5"), ("x", "'x'")):
+        with pytest.raises(ValueError, match=rf"node ids must be integers, got \({shown}\)"):
+            Network({1, 2, stray}, [(1, 2)], [0.5], 1, 2)
+    with pytest.raises(ValueError, match=r"node ids must be integers, got \(1\.0, 2\)"):
+        Network({1, 2}, [(1, 2)], [0.5], 1.0, 2)
 
 
 def test_expansion_refuses_a_non_integer_node_id():

@@ -1,13 +1,14 @@
 """The test suite's own configuration, the package's source, and the benchmark job it drives."""
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-from increl import Expansion, engine, initial_stage, run, run_expansion
+from increl import Expansion, cli, engine, initial_stage, run, run_expansion
 from helpers import bridge, bridge_stages
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -135,6 +136,29 @@ def test_the_readme_library_examples_run_and_print_the_bridge():
     # The first trace row: stage 0's first vector, as the CSV golden prints it.
     golden = (root / "tests" / "data" / "bridge_stage0.csv").read_text().splitlines()
     assert second[0] == golden[1]
+
+
+def test_the_readme_command_lines_exit_0(monkeypatch, capsys, tmp_path):
+    root = PYPROJECT.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("increl ")]
+    assert len(lines) == 7
+    bridge_files = ["fixtures/bridge.net", "fixtures/bridge_grow1.inc", "fixtures/bridge_grow2.inc"]
+    # The fixture paths are relative to the checkout; the traces go to `tmp_path`.
+    monkeypatch.chdir(root)
+    for argv in lines:
+        argv = [str(tmp_path / "out") if arg == "out/" else arg for arg in argv]
+        if "..." in argv:
+            at = argv.index("...")
+            argv[at:at + 1] = bridge_files
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[-2:] == ["--format", "json"]:
+            assert json.loads(out)["stages"][-1]["vectors"] == 58
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
+        "stage0.csv", "stage1.csv", "stage2.csv"
+    ]
 
 
 PACKAGE = PYPROJECT.parent / "src" / "increl"
