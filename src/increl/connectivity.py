@@ -76,7 +76,8 @@ class LabelOrder:
     """The node order labels are read over: character i is node `nodes[i]`'s.
 
     `position` maps a node to its i; `s` and `t` are the terminals'. More
-    than `MAX_NODES` nodes raise `CapExceededError`.
+    than `MAX_NODES` nodes raise `CapExceededError`; a repeated node, a
+    terminal outside the order or equal terminals raise `ValueError`.
     """
 
     __slots__ = ("nodes", "source", "sink", "position", "s", "t", "_by_id")
@@ -87,6 +88,12 @@ class LabelOrder:
             raise CapExceededError(f"{len(nodes)} nodes, labels hold at most {MAX_NODES}")
         self.source, self.sink = source, sink
         self.position = position = {v: i for i, v in enumerate(nodes)}
+        if len(position) != len(nodes):
+            # `position` keeps a repeated node's last place, so its first differs.
+            repeated = next(v for i, v in enumerate(nodes) if position[v] != i)
+            raise ValueError(f"node {repeated} appears more than once in the node order")
+        if source == sink or source not in position or sink not in position:
+            raise ValueError(f"terminals {source} and {sink} must be two nodes of the order")
         self.s, self.t = position[source], position[sink]
         self._by_id = itemgetter(*sorted(range(len(nodes)), key=nodes.__getitem__))
 
@@ -102,7 +109,7 @@ class LabelOrder:
             raise ExpansionError(f"arc endpoint {missing.args[0]} is not a known node") from None
 
     def label(self, partition: NodePartition) -> str:
-        """The label of `partition`, whose components must cover this order's nodes once.
+        """The label of `partition`, whose components must be nonempty and cover the order once.
 
         `ValueError` if they do not, or if its sides miss the terminals.
         When the terminals connect, the shared side counts once.
@@ -123,11 +130,12 @@ class LabelOrder:
                 places = [position[v] for v in comp]
             except KeyError as missing:
                 raise ValueError(f"node {missing.args[0]} is not in the node order") from None
-            char = chr(min(places))
+            # An empty component sets no character, and the check below refuses it.
+            char = chr(min(places, default=0))
             for i in places:
                 chars[i] = char
         label = "".join(chars)
-        if len(label) != len(chars) or sum(map(len, comps)) != len(chars):
+        if not all(middle) or len(label) != len(chars) or sum(map(len, comps)) != len(chars):
             raise ValueError("the partition does not cover every node of the order once")
         return label
 
@@ -304,13 +312,16 @@ def extend_partition_detail(
     Every component no selected arc touched is the parent's own object.
     For a disconnected `partition` the flag is True exactly when the
     returned sides are one object, so `part.source_side is
-    part.sink_side` alone tells a merge.
+    part.sink_side` alone tells a merge. A partition with an empty side,
+    or one `LabelOrder.label` refuses, raises `ValueError`.
     """
     if len(selected) != len(expansion.arcs):
         raise ExpansionError(
             f"selection covers {len(selected)} arcs but the expansion has "
             f"{len(expansion.arcs)}"
         )
+    if not (partition.source_side and partition.sink_side):
+        raise ValueError("a partition's source and sink sides must each hold a terminal")
     if is_connected(partition):
         # Connectivity is never lost by adding arcs.
         return True, partition

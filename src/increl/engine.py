@@ -150,9 +150,8 @@ _WORD_BITS = 64
 # its arcs' probability factors in arc order.
 _Row = tuple[int, Bits, int, tuple[float, ...]]
 
-# The row of a group that holds one whole vector: no position, bits,
-# mask or factors to add to the group's own.
-_IDENTITY_ROW: _Row = (0, (), 0, ())
+# A stage-0 group's one row: the empty combination, number 0, adding nothing.
+_IDENTITY_ROW: _Row = (1, (), 0, ())
 
 
 # The pair of an entry that keeps no row: every entry of a final stage.
@@ -162,22 +161,22 @@ _NO_KEPT: tuple[tuple[_Row, ...], tuple[str, ...]] = ((), ())
 class RetainedSet:
     """A stage's retained vectors, stored as groups in four parallel columns.
 
-    Group g is `masks[g]`, `probabilities[g]` (`array('d')`),
-    `bases[g]` (`array('q')`) and `kept[g]`: a vector of the previous
-    stage, as its mask and probability, the count of vectors its stage
-    examined before its own, and the pair (rows, labels) of the memo
-    entry that extended it, shared by every group the entry made.
-    Vector r of the group has mask `mask | rows[r][2]`, bit j for arc
-    j+1 (`mask_bits` decodes one), the interned label `labels[r]` of its
-    partition over the set's `LabelOrder` `order`, 1-based generation index
-    `base + rows[r][0]`, which traces name as a parent, and probability
-    `prod(rows[r][3], start=probability)`, its `vector_probability` to
-    the last bit. `rows()` spells the vectors out in generation order,
-    with each distinct label's `NodePartition` built once, and `len`
-    counts them.
+    Group g is `masks[g]`, `probabilities[g]` (`array('d')`), `bases[g]`
+    (`array('q')`) and `kept[g]`: a vector of the previous stage, as its mask
+    and probability, the count of vectors its stage examined before the group's
+    first one, and the pair (rows, labels) of the memo entry that extended it,
+    shared by every group the entry made. Vector r has mask `mask | rows[r][2]`,
+    bit j for arc j+1 (`mask_bits` decodes one), the interned label `labels[r]`
+    of its partition over the set's `LabelOrder` `order`, 1-based generation
+    index `base + rows[r][0]`, which traces name as a parent (a row's offset is
+    its combination's number plus one), and probability `prod(rows[r][3],
+    start=probability)`, its `vector_probability` to the last bit. `rows()`
+    spells the vectors out in generation order, with each distinct label's
+    `NodePartition` built once, and `len` counts them.
 
-    Stage 0 keeps each vector as a group of its own, whose one row is
-    `_IDENTITY_ROW`; such groups share one pair per label. Masks are
+    Every stage keeps that rule: stage 0 keeps vector k as a group of
+    its own with base k and one row, `_IDENTITY_ROW`, the empty
+    combination; such groups share one pair per label. Masks are
     machine words: `_bind` holds a stage that keeps vectors to 64 arcs.
     """
 
@@ -510,7 +509,7 @@ def _initial(
         else:
             masks.append(k)
             probabilities.append(x)
-            bases.append(k + 1)
+            bases.append(k)
             groups.append(singles[label])
             if len(groups) > max_retained:
                 raise CapExceededError(f"retained set exceeds cap of {max_retained} vectors")

@@ -1,7 +1,9 @@
 """Command-line behaviour: subcommands, exit codes, formats, traces."""
 
 import collections
+import contextlib
 import functools
+import io
 import json
 import random
 import re
@@ -209,6 +211,39 @@ def test_malformed_input_exit_codes(
     assert code == exit_code
     assert fragment in err
     assert (f"line {line}: " in err) if line is not None else ("line " not in err)
+
+
+_BRIDGE_FILES = {Path(path).name: Path(path).read_bytes() for path in (BRIDGE, GROW1, GROW2)}
+
+
+# 1-4 bytes of the bridge's NET and INC files overwritten, each a
+# (file, place, byte) drawn at random. Files go to a temporary directory
+# and output to buffers: a property may not take function-scoped fixtures.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(_BRIDGE_FILES)), st.integers(0, 255), st.integers(0, 255)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_a_mutated_bridge_exits_with_a_documented_code(mutations):
+    texts = {name: bytearray(text) for name, text in _BRIDGE_FILES.items()}
+    for name, place, byte in mutations:
+        texts[name][place % len(texts[name])] = byte
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [Path(directory) / name for name in _BRIDGE_FILES]
+        for path in paths:
+            path.write_bytes(texts[path.name])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", *map(str, paths)])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert out.getvalue() and err.getvalue() == ""
 
 
 def test_run_trace_matches_goldens(tmp_path, capsys):

@@ -238,6 +238,16 @@ def test_partition_label_names_a_node_outside_the_order():
         order.label(overlapping)
     with pytest.raises(ValueError, match="cover"):
         extend_partition(overlapping, (1,), Expansion(((2, 4),), (0.5,), frozenset({4})))
+    # An empty component covers no node.
+    hollow = NodePartition(frozenset({1}), frozenset({3}), (frozenset({2}), frozenset()))
+    with pytest.raises(ValueError, match="does not cover every node of the order once"):
+        order.label(hollow)
+    with pytest.raises(ValueError, match="does not cover every node of the order once"):
+        extend_partition(hollow, (1,), Expansion(((2, 4),), (0.5,), frozenset({4})))
+    # An empty side holds no terminal.
+    sideless = NodePartition(frozenset(), frozenset({3}), (frozenset({2}),))
+    with pytest.raises(ValueError, match="sides must each hold a terminal"):
+        extend_partition(sideless, (1,), Expansion(((2, 4),), (0.5,), frozenset({4})))
     # Terminals that share a component are one side, counted once.
     joined = NodePartition(frozenset({1, 2, 3}), frozenset({3, 2, 1}), ())
     assert order.label(joined) == "\x00\x00\x00"
@@ -246,6 +256,14 @@ def test_partition_label_names_a_node_outside_the_order():
 def test_an_order_holds_at_most_one_node_per_code_point():
     with pytest.raises(CapExceededError, match=f"{0x110001} nodes, labels hold at most {0x110000}"):
         LabelOrder(range(0x110001), 1, 2)
+    # Node 2 twice would take two characters but one position.
+    with pytest.raises(ValueError, match="node 2 appears more than once in the node order"):
+        LabelOrder((1, 2, 2, 3), 1, 3)
+    with pytest.raises(ValueError, match="terminals 1 and 3 must be two nodes of the order"):
+        LabelOrder((1, 2), 1, 3)
+    # Equal terminals would read every label as connected.
+    with pytest.raises(ValueError, match="terminals 1 and 1 must be two nodes of the order"):
+        LabelOrder((1, 2), 1, 1)
 
 
 # A network drawn with every batch's arcs, and a node order drawn with it.

@@ -529,6 +529,30 @@ def test_retained_set_reads_as_the_per_vector_reference_rows():
     assert _retained(state) == expected
 
 
+@pytest.mark.parametrize(
+    "net, stages", [pytest.param(net, stages, id=name) for name, net, stages in _SMALL_CASES]
+)
+def test_every_stage_keeps_one_group_rule(net, stages):
+    # A group's base counts the vectors its stage examined before the
+    # group's first one, and a row's offset is its combination's number
+    # plus one. Stage 0's vector k, its mask, comes after k others and
+    # is the empty combination of a group of its own.
+    state = initial_stage(net)
+    retained = state.infeasible
+    assert list(retained.bases) == list(retained.masks)
+    # One row: offset 1, and no bits, mask or factors.
+    assert all(rows == ((1, (), 0, ()),) for rows, _ in retained.kept)
+    for specs in stages[:-1]:
+        shift = state.network.arc_count
+        expansion = Expansion.for_network(state.network, specs)
+        state, _ = run_expansion(state, expansion, final=False)
+        retained = state.infeasible
+        combos = 1 << expansion.arc_count
+        assert all(base % combos == 0 for base in retained.bases)
+        for rows, _ in retained.kept:
+            assert all(mask == (offset - 1) << shift for offset, _, mask, _ in rows)
+
+
 def _long_ladder(arc_count):
     """A ladder cut to `arc_count` arcs: node i on the top rail, i + 40 below it."""
     arcs = []
