@@ -88,7 +88,9 @@ class TraceDirectory:
     """Streams trace blocks into one CSV file per stage, one write per block.
 
     A run's first block makes the directory and removes the stage files
-    (``stage<K>.csv``, K as the writer prints it) an earlier run left.
+    (``stage<K>.csv``, K as the writer prints it) an earlier run left at
+    or past that block's stage, so a run resumed at stage K keeps the
+    files of stages 0..K-1.
     Every stage call brings its own label cache and combinations, so per
     cache each combination's bit string is rendered once, each label's
     set columns on first use, and a row joins the parent's bits to those.
@@ -109,8 +111,8 @@ class TraceDirectory:
             if not self._files:
                 self.directory.mkdir(parents=True, exist_ok=True)
                 for path in self.directory.glob("stage*.csv"):
-                    k = path.name[5:-4]
-                    if k.isdecimal() and path.name == f"stage{int(k)}.csv":
+                    k = int(path.name[5:-4]) if path.name[5:-4].isdecimal() else -1
+                    if k >= block.stage and path.name == f"stage{k}.csv":
                         path.unlink()
             handle = (self.directory / f"stage{block.stage}.csv").open("w", encoding="utf-8")
             handle.write(TRACE_HEADER + "\n")
@@ -177,7 +179,7 @@ def build_run_report(
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8-sig")
+    return Path(path).read_text(encoding="utf-8")
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -249,8 +249,11 @@ class TraceRow(NamedTuple):
 
     `parent_index` is the generation index of the source vector in the
     previous stage (equal to `index` at stage 0). For connected rows
-    the partition shows the merged source/sink component as it stood
-    when the merge was detected.
+    the source and sink sides are one merged component. At stage 0 the
+    partition holds every working arc, so it shows the full components
+    as `partition_nodes` gives them. At a growth stage it shows them as
+    they stood at the batch's arc that made the merge; the batch's
+    later arcs are not applied.
     """
 
     stage: int

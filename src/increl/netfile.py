@@ -15,13 +15,24 @@ node ids.
 
 from __future__ import annotations
 
+import io
+
 from increl.connectivity import MAX_NODES
 from increl.model import ArcSpec, CapExceededError, Network, ParseError
 from increl.model import _check_arc, _check_probability
 
 
 def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """Yield the number and fields of each line that holds more than a comment.
+
+    The one line rule of both formats, for every caller: a leading
+    byte-order mark is dropped, and a line ends only at ``\\n``, ``\\r\\n``
+    or ``\\r``, as `open()` reads text. The other breaks `str.splitlines`
+    knows (form feed, ``\\x85``, ``\\u2028`` and the rest) end no line, so
+    one inside a comment stays in the comment, and line numbers count
+    only the three.
+    """
+    for lineno, raw in enumerate(io.StringIO(text.removeprefix("\ufeff"), newline=None), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line.split()
@@ -61,20 +72,21 @@ def parse_network(text: str) -> Network:
     exist; files that would need renumbering are rejected. A count past
     `MAX_NODES` raises `CapExceededError` before any node is allocated.
     """
-    count: int | None = None
+    lines = _significant_lines(text)
+    lineno, fields = next(lines, (None, None))
+    if fields is None:
+        raise ParseError("missing 'nodes <n>' header")
+    if fields[0] != "nodes" or len(fields) != 2:
+        raise ParseError("file must start with 'nodes <n>'", lineno)
+    count = _parse_int(fields[1], "node count", lineno)
+    if count < 2:
+        raise ParseError("a network needs at least 2 nodes", lineno)
+    if count > MAX_NODES:
+        raise CapExceededError(f"network has {count} nodes, capped at {MAX_NODES}")
     arcs: list[tuple[int, int]] = []
     probs: list[float] = []
     pairs: set[frozenset[int]] = set()
-    for lineno, fields in _significant_lines(text):
-        if count is None:
-            if fields[0] != "nodes" or len(fields) != 2:
-                raise ParseError("file must start with 'nodes <n>'", lineno)
-            count = _parse_int(fields[1], "node count", lineno)
-            if count < 2:
-                raise ParseError("a network needs at least 2 nodes", lineno)
-            if count > MAX_NODES:
-                raise CapExceededError(f"network has {count} nodes, capped at {MAX_NODES}")
-            continue
+    for lineno, fields in lines:
         u, v, p = _parse_arc_line(fields, lineno, pairs)
         if u > count or v > count:
             raise ParseError(
@@ -82,8 +94,6 @@ def parse_network(text: str) -> Network:
             )
         arcs.append((u, v))
         probs.append(p)
-    if count is None:
-        raise ParseError("missing 'nodes <n>' header")
     return Network(
         nodes=frozenset(range(1, count + 1)),
         arcs=tuple(arcs),

@@ -30,6 +30,8 @@ from helpers import (
     FIXTURE_DIR,
     GRID_STAGES,
     VALIDATION_CASES,
+    bridge,
+    bridge_stages,
     cumulative_networks,
     grid_3x3,
     random_scenario,
@@ -281,6 +283,29 @@ def test_a_traced_run_replaces_the_stage_files_an_earlier_run_left(tmp_path, cap
     assert {path.name for path in trace.iterdir()} == {"stage0.csv", "stage1.csv", *others}
     assert all((trace / name).read_text() == text for name, text in others.items())
     assert (trace / "stage0.csv").read_text() == (DATA_DIR / "bridge_stage0.csv").read_text()
+
+
+def test_a_resumed_trace_keeps_the_earlier_stages_files(tmp_path):
+    # Stages 0-1 through one writer, stage 2 through a second one on the same directory.
+    (tmp_path / "stage3.csv").write_text("left by a longer run\n")
+    first = cli.TraceDirectory(tmp_path)
+    state = engine.initial_stage(bridge(), trace=first)
+    grow1, grow2 = bridge_stages()
+    state, _ = engine.run_expansion(
+        state, Expansion.for_network(state.network, grow1), final=False, trace=first
+    )
+    first.close()
+    second = cli.TraceDirectory(tmp_path)
+    engine.run_expansion(
+        state, Expansion.for_network(state.network, grow2), final=True, trace=second
+    )
+    second.close()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "stage0.csv", "stage1.csv", "stage2.csv"
+    ]
+    for stage in (0, 1, 2):
+        expected = (DATA_DIR / f"bridge_stage{stage}.csv").read_bytes()
+        assert (tmp_path / f"stage{stage}.csv").read_bytes() == expected
 
 
 def test_trace_directory_matches_the_plain_renderer(tmp_path, monkeypatch):

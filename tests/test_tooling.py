@@ -261,3 +261,28 @@ def test_every_public_function_and_class_is_exported_or_used_by_another_module()
             and node.name not in elsewhere
         ]
     assert unused == []
+
+
+def test_the_parser_alone_knows_the_byte_order_mark_and_every_file_call_names_its_encoding():
+    # `netfile._significant_lines` drops a leading mark for every caller; a
+    # `utf-8-sig` read elsewhere would make one caller's input differ from another's.
+    marks = ("\ufeff", "\\ufeff", "utf-8-sig", "utf_8_sig")
+    mentions = [
+        f"{path.name} {mark!r}"
+        for path in PACKAGE.glob("*.py")
+        if path.name != "netfile.py"
+        for mark in marks
+        if mark in path.read_text(encoding="utf-8").lower()
+    ]
+    assert mentions == []
+    # The locale's encoding would decide the bytes otherwise.
+    unnamed = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "open"
+             or getattr(node.func, "attr", None) in ("open", "read_text", "write_text"))
+        and not any(keyword.arg == "encoding" for keyword in node.keywords)
+    ]
+    assert unnamed == []
