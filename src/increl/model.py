@@ -37,6 +37,9 @@ class CapExceededError(RuntimeError):
 
 
 def _check_probability(p: float) -> float:
+    """`p` as a float in [0, 1]; text is refused, since only the parser reads numerals."""
+    if isinstance(p, (str, bytes, bytearray)):
+        raise ValueError(f"probability must be a number, got {p!r}")
     p = float(p)
     if not math.isfinite(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
@@ -125,7 +128,8 @@ class Network(_Frozen):
     `nodes` holds every node id known so far, including isolated ones.
     Every node id, terminals and arc ends too, is an int that
     `_node_ids` accepts. Arc ids are implicit: arc k is ``arcs[k-1]``,
-    and its probability is ``probabilities[k-1]``.
+    and its probability, a number in [0, 1] (never text; a file's
+    numerals are read by `increl.netfile`), is ``probabilities[k-1]``.
     """
 
     __slots__ = ("nodes", "arcs", "probabilities", "source", "sink")
@@ -199,7 +203,7 @@ class Expansion(_Frozen):
         Raises ExpansionError where `_check_arc` or `_check_probability`,
         which `Network` and the file parser share, refuse an arc: a node id
         that is not an integer or is below 1, a self-loop, a repeated pair,
-        or a probability outside [0, 1].
+        or a probability that is text or lies outside [0, 1].
         """
         specs = tuple(specs)
         if not specs:

@@ -38,11 +38,24 @@ def _significant_lines(text: str):
             yield lineno, line.split()
 
 
-def _parse_int(token: str, what: str, lineno: int) -> int:
+def _numeral(token: str, kind: type, what: str, lineno: int) -> int | float:
+    """`token` read as `kind` (`int` or `float`): the one numeral rule of both formats.
+
+    A numeral is ASCII and holds no ``_``; within that, `kind` decides, so
+    a sign, ``.5``, ``1.`` and exponents read as Python reads them (the
+    range checks refuse ``inf`` and ``nan``). Digits in other scripts,
+    fullwidth digits and ``1_0`` are refused. A digit string too long for
+    `int` is reported by its length, not quoted.
+    """
     try:
-        return int(token)
+        if token.isascii() and "_" not in token:
+            return kind(token)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {token!r}", lineno) from None
+        digits = token[1:] if token[0] in "+-" else token
+        if digits.isdigit():
+            raise ParseError(f"{what} is too long: {len(digits)} digits", lineno) from None
+    noun = "an integer" if kind is int else "a number"
+    raise ParseError(f"{what} must be {noun}, got {token!r}", lineno)
 
 
 def _parse_arc_line(fields: list[str], lineno: int, pairs: set[frozenset[int]]) -> ArcSpec:
@@ -51,12 +64,9 @@ def _parse_arc_line(fields: list[str], lineno: int, pairs: set[frozenset[int]]) 
         raise ParseError(f"expected an 'arc' line, got {fields[0]!r}", lineno)
     if len(fields) != 4:
         raise ParseError("arc lines take exactly 'arc <u> <v> <p>'", lineno)
-    u = _parse_int(fields[1], "node id", lineno)
-    v = _parse_int(fields[2], "node id", lineno)
-    try:
-        p = float(fields[3])
-    except ValueError:
-        raise ParseError(f"probability must be a number, got {fields[3]!r}", lineno) from None
+    u = _numeral(fields[1], int, "node id", lineno)
+    v = _numeral(fields[2], int, "node id", lineno)
+    p = _numeral(fields[3], float, "probability", lineno)
     try:
         p = _check_probability(p)
         _check_arc(u, v, pairs)
@@ -78,7 +88,7 @@ def parse_network(text: str) -> Network:
         raise ParseError("missing 'nodes <n>' header")
     if fields[0] != "nodes" or len(fields) != 2:
         raise ParseError("file must start with 'nodes <n>'", lineno)
-    count = _parse_int(fields[1], "node count", lineno)
+    count = _numeral(fields[1], int, "node count", lineno)
     if count < 2:
         raise ParseError("a network needs at least 2 nodes", lineno)
     if count > MAX_NODES:

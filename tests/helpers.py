@@ -171,4 +171,20 @@ VALIDATION_CASES = [
           ParseError, "probability 1.5 outside [0, 1]", 1, 1),
     _case("inc-parallel-to-net", BRIDGE_NET_TEXT, "arc 4 2 0.9\n",
           ExpansionError, "parallel arc between 4 and 2", None, 3),
+    # A numeral is ASCII and holds no `_`, though Python's int() and float() take both.
+    _case("net-underscore-count", "nodes 1_0\narc 1 10 0.5\n", None,
+          ParseError, "node count must be an integer, got '1_0'", 1, 1),
+    _case("net-fullwidth-count", "nodes \uff13\narc 1 3 0.5\n", None,
+          ParseError, "node count must be an integer, got '\uff13'", 1, 1),
+    _case("net-arabic-indic-node", "nodes 4\narc \u0663 4 .5\narc 1 3 0.5\n", None,
+          ParseError, "node id must be an integer, got '\u0663'", 2, 1),
+    _case("net-underscore-probability", "nodes 3\narc 1 3 0.9_0\n", None,
+          ParseError, "probability must be a number, got '0.9_0'", 2, 1),
+    _case("inc-arabic-indic-probability", BRIDGE_NET_TEXT, "arc 2 5 \u0660.\u0669\n",
+          ParseError, "probability must be a number, got '\u0660.\u0669'", 1, 1),
+    # A digit string too long for int() is named by its length, not quoted.
+    _case("net-long-count", "nodes " + "9" * 5000 + "\n", None,
+          ParseError, "node count is too long: 5000 digits", 1, 1),
+    _case("inc-long-node", BRIDGE_NET_TEXT, "arc 2 -" + "5" * 5000 + " 0.9\n",
+          ParseError, "node id is too long: 5000 digits", 1, 1),
 ]

@@ -203,11 +203,11 @@ def test_malformed_input_exit_codes(
     tmp_path, capsys, net_text, inc_text, error, fragment, line, exit_code
 ):
     net = tmp_path / "net.net"
-    net.write_text(net_text)
+    net.write_text(net_text, encoding="utf-8")
     argv = ["run", str(net)]
     if inc_text is not None:
         inc = tmp_path / "grow.inc"
-        inc.write_text(inc_text)
+        inc.write_text(inc_text, encoding="utf-8")
         argv.append(str(inc))
     code, _, err = run_cli(capsys, *argv)
     assert code == exit_code

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,15 @@ def test_network_validates_probability_range():
         Network(frozenset({1, 2}), ((1, 2),), (1.5,), 1, 2)
     with pytest.raises(ValueError, match="outside"):
         Network(frozenset({1, 2}), ((1, 2),), (float("nan"),), 1, 2)
+    # Text is not a number: only the parser reads numerals.
+    for text in ("0.5", b"0.5", bytearray(b"0.5")):
+        with pytest.raises(ValueError, match=r"probability must be a number, got .*0\.5"):
+            Network(frozenset({1, 2}), ((1, 2),), (text,), 1, 2)
+    with pytest.raises(ExpansionError, match="probability must be a number, got '0.5'"):
+        Expansion.for_network(bridge(), ((2, 5, "0.5"),))
+    for number in (Fraction(1, 2), 1):
+        net = Network(frozenset({1, 2}), ((1, 2),), (number,), 1, 2)
+        assert net.probabilities == (float(number),)
 
 
 def test_network_requires_terminals_present():

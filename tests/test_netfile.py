@@ -1,5 +1,7 @@
 """NET/INC parsing and validation errors."""
 
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +105,9 @@ def test_malformed_input_is_rejected_where_pinned(
 def test_expansion_specs_parse_and_reject_duplicates():
     specs = parse_expansion_specs("arc 2 5 0.7\narc 4 5 0.6\n")
     assert specs == ((2, 5, 0.7), (4, 5, 0.6))
+    # Within ASCII and free of `_`, int() and float() decide: a sign, `.5`, `1.`, exponents.
+    specs = parse_expansion_specs("arc 2 5 .5\narc 4 5 1.\narc 3 5 5e-1\narc +1 5 +0.5\n")
+    assert specs == ((2, 5, 0.5), (4, 5, 1.0), (3, 5, 0.5), (1, 5, 0.5))
     with pytest.raises(ParseError, match="parallel"):
         parse_expansion_specs("arc 2 5 0.7\narc 5 2 0.6\n")
     with pytest.raises(ParseError, match="no arcs"):
@@ -125,3 +130,40 @@ def test_a_comment_appended_to_any_line_changes_nothing(which, at, comment):
     lines[at % len(lines)] += "#" + comment
     assert parse("\n".join(lines)) == parse(text)
 
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.integers(0, len(BRIDGE_INC_TEXTS)),
+    st.integers(0, 30),
+    st.integers(0, 2),
+    st.none() | st.characters(categories=["Nd"], min_codepoint=0x80),
+)
+def test_a_numeral_outside_ascii_or_with_an_underscore_is_refused_at_its_line(
+    which, at, place, script
+):
+    # One numeral of the bridge's files edited so that Python's float() reads
+    # the same value: `0_` put before it (`_` between two digits), or one of
+    # its digits written in the script of `script`.
+    text = ([BRIDGE_TEXT] + BRIDGE_INC_TEXTS)[which]
+    parse = parse_expansion_specs if which else parse_network
+    lines = text.split("\n")
+    numerals = [
+        (i, k) for i, line in enumerate(lines) for k in range(1, len(line.split("#")[0].split()))
+    ]
+    i, k = numerals[at % len(numerals)]
+    fields = lines[i].split()
+    token = fields[k]
+    if script is None:
+        fields[k] = "0_" + token
+    else:
+        digits = [n for n, ch in enumerate(token) if ch.isdigit()]
+        n = digits[place % len(digits)]
+        digit = chr(ord(script) - unicodedata.decimal(script) + int(token[n]))
+        assert unicodedata.decimal(digit) == int(token[n])
+        fields[k] = token[:n] + digit + token[n + 1 :]
+    assert float(fields[k]) == float(token)
+    lines[i] = " ".join(fields)
+    with pytest.raises(ParseError) as info:
+        parse("\n".join(lines))
+    assert info.value.line == i + 1
